@@ -6,18 +6,22 @@ mutations into a read-heavy stream, this driver hammers the *delta
 publish* machinery specifically — a real server process, a real TCP
 socket, concurrent writers and readers:
 
-1. generate a dataset and start ``python -m repro serve --live
-   --trace PATH --compact-every 16`` on an ephemeral port (a small
-   compaction interval so the smoke run crosses several rebuild
-   boundaries);
+1. generate an anticorrelated dataset and start ``python -m repro
+   serve --live --trace PATH --compact-every 16`` on an ephemeral port
+   (a small compaction interval so the smoke run crosses several
+   rebuild boundaries);
 2. run one mutator thread (insert a touch-up copy of a live point /
-   delete one of its own inserts, through its own client connection)
-   concurrently with two reader threads (skylines, memberships,
-   ``skyline_diff`` probes against versions the mutator has already
-   published), requiring zero untyped failures;
-3. after the mutator has deleted every point it inserted, require
-   ``skyline_diff`` over the whole mutation interval to be empty on
-   every subspace probed — inserts and deletes must cancel exactly;
+   delete one of its own inserts / delete a bootstrap full-space
+   skyline point, through its own client connection) concurrently
+   with two reader threads (skylines, memberships, ``skyline_diff``
+   probes against versions the mutator has already published),
+   requiring zero untyped failures.  The skyline deletes are the ones
+   no surviving point covers, so they drive the delete's re-verify;
+3. after the mutator has deleted every point it inserted, require every
+   probed skyline to equal ``fast_skyline`` over the surviving rows,
+   and ``skyline_diff`` over the whole mutation interval to equal the
+   difference of the bootstrap and final reference skylines — the
+   touch-up inserts and deletes must cancel exactly;
 4. check the metrics endpoint saw at least one snapshot publish per
    mutation, send SIGTERM, and require a clean drain;
 5. leave the jsonl trace on disk for the taxonomy gate
@@ -42,9 +46,14 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+import numpy as np  # noqa: E402
+
+from repro import fast_skyline  # noqa: E402
 from repro.serve import ServeClient, ServeError  # noqa: E402
 
 MUTATIONS = 40
+#: Every fourth mutation deletes a bootstrap full-space skyline point.
+SKYLINE_DELETES = MUTATIONS // 4
 READS_PER_THREAD = 150
 READY_PATTERN = re.compile(r"listening on [\d.]+:(\d+)")
 
@@ -72,16 +81,18 @@ def start_server(dataset, trace_path):
 
 
 class Mutator(threading.Thread):
-    """Insert touch-up copies of live points, delete them again.
+    """Insert touch-up copies of live points, delete them again, and
+    delete the given bootstrap skyline points for good.
 
     Records every published version; the versions must be strictly
     increasing (one publish per mutation, in submission order on this
     single connection).
     """
 
-    def __init__(self, port, d, n):
+    def __init__(self, port, d, n, doomed):
         super().__init__(name="mutator")
         self.port, self.d, self.n = port, d, n
+        self.doomed = doomed
         self.versions = []
         self.errors = []
 
@@ -89,8 +100,11 @@ class Mutator(threading.Thread):
         try:
             with ServeClient("127.0.0.1", self.port, timeout=30.0) as client:
                 own = []
+                doomed = list(self.doomed)
                 for i in range(MUTATIONS):
-                    if own and i % 2:
+                    if doomed and i % 4 == 3:
+                        version = client.delete(doomed.pop())
+                    elif own and i % 2:
                         version = client.delete(own.pop())
                     else:
                         response = client.request(
@@ -155,21 +169,26 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         dataset = os.path.join(tmp, "live-smoke.npy")
         subprocess.run(
-            [sys.executable, "-m", "repro", "generate", "independent",
+            [sys.executable, "-m", "repro", "generate", "anticorrelated",
              "1500", "5", "--seed", "13", "--out", dataset],
             check=True,
             env={**os.environ, "PYTHONPATH": "src"},
         )
+        data = np.load(dataset)
         process, port = start_server(dataset, args.trace)
         try:
             with ServeClient("127.0.0.1", port, timeout=30.0) as client:
                 info = client.ping()
                 d, n = info["d"], info["n"]
-                baseline = {
-                    delta: client.skyline(delta)
-                    for delta in (1, (1 << d) - 1)
-                }
-            mutator = Mutator(port, d, n)
+                probes = (1, (1 << d) - 1, (1 << d) >> 1)
+                initial = {delta: fast_skyline(data, delta).tolist()
+                           for delta in probes}
+                for delta in probes:
+                    assert client.skyline(delta) == initial[delta], delta
+            full_skyline = initial[(1 << d) - 1]
+            step = max(1, len(full_skyline) // SKYLINE_DELETES)
+            doomed = full_skyline[::step][:SKYLINE_DELETES]
+            mutator = Mutator(port, d, n, doomed)
             readers = [Reader(port, d, n, seed, mutator) for seed in (1, 2)]
             for thread in (mutator, *readers):
                 thread.start()
@@ -187,14 +206,21 @@ def main():
                 "publish versions not strictly increasing"
             )
 
+            # Every insert was deleted again, so the survivors are the
+            # bootstrap rows minus the deleted skyline points.
+            survivors = np.setdiff1d(np.arange(n), doomed)
             with ServeClient("127.0.0.1", port, timeout=30.0) as client:
-                # Every insert was deleted again: from the bootstrap
-                # version 0 to the final one the movement must cancel.
-                for delta in (1, (1 << d) - 1, (1 << d) >> 1):
+                for delta in probes:
+                    final = survivors[
+                        fast_skyline(data[survivors], delta)
+                    ].tolist()
+                    assert client.skyline(delta) == final, delta
+                    expected = {
+                        "entered": sorted(set(final) - set(initial[delta])),
+                        "left": sorted(set(initial[delta]) - set(final)),
+                    }
                     diff = client.skyline_diff(delta, 0, versions[-1])
-                    assert diff == {"entered": [], "left": []}, (delta, diff)
-                for delta, skyline in baseline.items():
-                    assert client.skyline(delta) == skyline, delta
+                    assert diff == expected, (delta, diff, expected)
                 metrics = client.metrics()
             assert metrics["snapshot_publishes"] >= len(versions), metrics
             assert metrics["snapshot_version"] == versions[-1], metrics
@@ -202,7 +228,8 @@ def main():
             print(
                 f"live-smoke: {len(versions)} publishes "
                 f"(final v{versions[-1]}), {reads} concurrent reads, "
-                f"diff cancelled on every probed subspace"
+                f"{len(doomed)} skyline deletes, skylines and diffs match "
+                f"the reference on every probed subspace"
             )
         finally:
             process.send_signal(signal.SIGTERM)

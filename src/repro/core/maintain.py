@@ -8,10 +8,13 @@ the current points — and (b) can only *add* dominated-bits to existing
 points' masks, each derivable from one comparison-mask pair via the
 shared closure cache.
 
-Deletion is the hard direction (a point dominated only by the removed
-point silently regains membership, and masks carry no provenance), so
-it recomputes the affected masks — the same asymmetry the update
-literature documents.
+Deletion is the hard direction: a point dominated only by the removed
+point silently regains membership, and masks carry no provenance.  The
+delete therefore re-tests only the bits the removed point could have
+owned — subspaces on which no survivor is at least as good as it —
+and only for the points it beat there, streaming first the survivors
+closest above it (the filter/refine split of MDMC, applied to one
+removal).
 
 For ``d <= PACKED_MAX_D`` the maintainer stores state in the packed
 uint64 representation of :mod:`repro.engine.packed` — a capacity-
@@ -20,12 +23,13 @@ liveness bitmap — and mutations become *delta sweeps*
 (:mod:`repro.engine.delta`): a static-tree prefilter bounds the
 affected set without touching coordinates, a single vectorised
 comparison prunes it exactly, and only the affected rows' closure
-contributions are folded.  :meth:`insert_with_delta` and
-:meth:`delete_with_delta` additionally report the exact mask movement
-(:class:`MaskDelta`) so downstream consumers — copy-on-write
-``HashCube.with_updates`` publishes, per-version changelogs — can
-update in O(affected) instead of O(n).  Beyond ``PACKED_MAX_D`` the
-original list/dict big-int path is kept as a correctness fallback.
+contributions are folded (insert) or re-verified (delete).
+:meth:`insert_with_delta` and :meth:`delete_with_delta` additionally
+report the exact mask movement (:class:`MaskDelta`) so downstream
+consumers — copy-on-write ``HashCube.with_updates`` publishes,
+per-version changelogs — can update in O(affected) instead of O(n).
+Beyond ``PACKED_MAX_D`` the original list/dict big-int path is kept as
+a correctness fallback.
 
 :class:`SkycubeMaintainer` keeps the masks exact at every step;
 `skycube()` materialises the current state as a HashCube-backed
@@ -284,7 +288,7 @@ class SkycubeMaintainer:
         return self.insert_with_delta(point)[0]
 
     def delete(self, point_id: int) -> None:
-        """Remove a point; recomputes the masks it may have shaped."""
+        """Remove a point; re-verifies the mask bits it may have owned."""
         self.delete_with_delta(point_id)
 
     def insert_with_delta(
@@ -376,15 +380,11 @@ class SkycubeMaintainer:
     def delete_with_delta(self, point_id: int) -> MaskDelta:
         """:meth:`delete` plus the exact mask movement it caused.
 
-        The affected set — points the removed row strictly beat
-        somewhere — is bounded by the prefilter and pinned down by one
-        vectorised comparison; only those masks are re-derived, via a
-        :class:`~repro.engine.packed.PackedSweep` over the affected
-        block reordered to the front of the survivors.
+        Only the mask bits the removed point could have owned are
+        re-tested (:meth:`_lost_bits`); every other mask stays as is.
         """
         if not self._packed:
             return self._delete_legacy(point_id)
-        from repro.engine.delta import recompute_rows
         from repro.engine.packed import row_to_int
 
         row = self._pos.pop(point_id, None)
@@ -401,47 +401,74 @@ class SkycubeMaintainer:
             self._index = None
             return MaskDelta(changed, (point_id,), previous)
 
-        # Coverage fast path: a surviving point ``p <= removed`` on
-        # every dimension (an exact duplicate counts, and the removed
-        # row itself is already marked dead) contributes a superset of
-        # the removed point's bits to every victim — on each dimension
-        # where the removed point strictly beat a victim, ``p`` still
-        # does.  No surviving mask can change, so the O(affected x n)
-        # recompute sweep is provably a no-op.
-        coverers = self._dominator_rows(removed_point)
-        if len(coverers):
-            self.counters.dominance_tests += len(coverers)
-            if (self._matrix[coverers] <= removed_point).all(axis=1).any():
-                self._maintain_structures()
-                return MaskDelta(changed, (point_id,), previous)
-
-        candidates = self._victim_rows(removed_point)
-        if len(candidates):
-            beaten = (self._matrix[candidates] > removed_point).any(axis=1)
-            self.counters.dominance_tests += len(candidates)
-            victims = candidates[beaten]
-            if len(victims):
-                rest_live = self._live[: self._count].copy()
-                rest_live[victims] = False
-                rest = np.flatnonzero(rest_live)
-                new = recompute_rows(
-                    self._matrix, victims, rest, table=self._table
-                )
-                self.counters.dominance_tests += len(victims) * self._n_live
-                old = self._mask_rows[victims]
-                moved = (new != old).any(axis=1)
-                if moved.any():
-                    touched = victims[moved]
-                    self._mask_rows[touched] = new[moved]
-                    self.counters.bitmask_ops += int(moved.sum())
-                    for vrow, before, after in zip(
-                        touched.tolist(), old[moved], new[moved]
-                    ):
-                        pid = int(self._row_ids[vrow])
-                        previous[pid] = row_to_int(before)
-                        changed[pid] = row_to_int(after)
+        touched, lost = self._lost_bits(removed_point)
+        if len(touched):
+            old = self._mask_rows[touched]
+            new = old & ~lost
+            self._mask_rows[touched] = new
+            self.counters.bitmask_ops += len(touched)
+            for vrow, before, after in zip(touched.tolist(), old, new):
+                pid = int(self._row_ids[vrow])
+                previous[pid] = row_to_int(before)
+                changed[pid] = row_to_int(after)
         self._maintain_structures()
         return MaskDelta(changed, (point_id,), previous)
+
+    def _lost_bits(self, point: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Live rows whose masks lose bits once ``point`` is gone, and
+        those bits (``point``'s row must already be marked dead).
+
+        *Recovered set*: the subspaces ``δ`` for which some survivor
+        ``q`` is ``<= point`` on every dimension of ``δ``.  Wherever
+        ``point`` dominated a row in such a ``δ`` (``<=`` on ``δ``,
+        strictly on one dimension), ``q`` still does, so those bits
+        cannot change; an exact duplicate recovers everything.  A row's *open bits* are
+        ``point``'s contribution to it minus the recovered set, and
+        only rows with open bits are re-verified, by
+        :func:`repro.engine.delta.recompute_rows`.
+        """
+        # Module, not name, import: recompute_rows is looked up per call
+        # so that tracing harnesses can wrap it.
+        from repro.engine import delta
+
+        nothing = (
+            np.empty(0, dtype=np.intp),
+            np.empty((0, self._words), dtype=np.uint64),
+        )
+        weights = self._weights
+        uncovered = self._table[-1]  # closure(all dims): every subspace
+        recoverers = self._dominator_rows(point)
+        if len(recoverers):
+            le = (self._matrix[recoverers] <= point) @ weights
+            self.counters.dominance_tests += len(recoverers)
+            uncovered = uncovered & ~delta.fold_codes(le, self.d, self._table)
+        if not uncovered.any():
+            return nothing
+        candidates = self._victim_rows(point)
+        block = self._matrix[candidates]
+        beaten = (block > point).any(axis=1)
+        self.counters.dominance_tests += len(candidates)
+        rows = block[beaten]
+        ge = (rows >= point) @ weights
+        eq = (rows == point) @ weights
+        open_bits = (
+            delta.contribution_rows(ge, eq, self.d, self._table) & uncovered
+        )
+        is_open = open_bits.any(axis=1)
+        if not is_open.any():
+            return nothing
+        victims = candidates[beaten][is_open]
+        open_bits = open_bits[is_open]
+        # Re-covering dominators: rows in the skyline of an open subspace.
+        live = self._live_rows()
+        reach = np.bitwise_or.reduce(open_bits, axis=0)
+        in_skyline = (~self._mask_rows[live] & reach).any(axis=1)
+        lost = delta.recompute_rows(
+            self._matrix, victims, live[in_skyline], point, open_bits,
+            table=self._table, counters=self.counters,
+        )
+        moved = lost.any(axis=1)
+        return victims[moved], lost[moved]
 
     # -- legacy (d > PACKED_MAX_D) update paths -------------------------
 

@@ -4,7 +4,7 @@ A single mutation cannot move most masks: inserting a point ``x`` only
 adds dominated-bits to points ``x`` strictly beats somewhere, and
 deleting ``x`` only *clears* bits of exactly those points (the ones it
 may have contributed to).  Points that dominate ``x`` are unaffected in
-both directions.  This module supplies the two pieces that turn that
+both directions.  This module supplies the pieces that turn that
 observation into an O(affected) update on the packed uint64
 representation of :mod:`repro.engine.packed`:
 
@@ -28,15 +28,20 @@ representation of :mod:`repro.engine.packed`:
   "everyone versus the new point" into the new point's own packed
   ``B_{p∉S}`` row; :func:`contribution_rows` gathers the closure
   contribution of the *one* mutation point against each affected row
-  (deduplicated, one table gather per distinct pair);
-  :func:`recompute_rows` re-derives affected masks from scratch after
-  a delete by reordering the live rows so the affected block comes
-  first and running an ordinary :class:`~repro.engine.packed.PackedSweep`
-  (``PairCoder`` codes + closure-table fold) over just that block.
+  (deduplicated, one table gather per distinct pair).
+
+* :func:`recompute_rows` — the delete-side re-verify.  A delete can
+  only clear bits the removed point owned, so only those *open* bits
+  are re-tested: survivors stream closest above the removed point
+  first and clear the open bits they still cover, rows retire as soon
+  as nothing is open, and the few rows a bounded prefix of survivors
+  leaves open finish in one ordinary
+  :class:`~repro.engine.packed.PackedSweep`.
 
 Everything here is bit-identical to a full recompute by construction:
-the index only ever *excludes* provably-unaffected points, and the
-folds reuse the exact closure table the batch engines use.
+the index only ever *excludes* provably-unaffected points, the
+re-verify only ever clears bits no survivor covers, and the folds
+reuse the exact closure table the batch engines use.
 """
 
 from __future__ import annotations
@@ -45,11 +50,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.dominance import dominance_pair_codes
 from repro.engine.packed import (
     PackedSweep,
     closure_table,
     words_for,
 )
+from repro.instrument.counters import Counters
 from repro.partitioning.static_tree import StaticTree
 
 __all__ = [
@@ -103,31 +110,98 @@ def contribution_rows(
     return contributions[np.asarray(inverse).ravel()]
 
 
+#: Points the delete-side re-verify streams before the rows still open
+#: fall back to one packed sweep.
+REVERIFY_PREFIX = 512
+
+#: Most ``rows x survivors x words`` closure gathers one streamed chunk
+#: may materialise (uint64 elements, 2 MiB).
+_CHUNK_BUDGET = 1 << 18
+
+
 def recompute_rows(
     matrix: np.ndarray,
-    affected: np.ndarray,
-    rest: np.ndarray,
+    rows: np.ndarray,
+    survivors: np.ndarray,
+    removed: np.ndarray,
+    open_bits: np.ndarray,
     table: Optional[np.ndarray] = None,
-    block: Optional[int] = None,
+    counters: Optional[Counters] = None,
 ) -> np.ndarray:
-    """Exact packed masks of ``matrix[affected]`` vs all live rows.
+    """The ``open_bits`` of ``matrix[rows]`` that no survivor re-covers.
 
-    The delete-side delta sweep: after a removal, the affected rows'
-    masks must be re-derived against the surviving set (masks carry no
-    provenance, so bits the removed point contributed cannot simply be
-    cleared).  The live rows are reordered so the affected block comes
-    first, then one ordinary :class:`~repro.engine.packed.PackedSweep`
-    — ``PairCoder`` comparison codes, presence-table dedup,
-    closure-table fold — computes just that block's masks.  Every
-    affected row compares against itself, so the sweep's group-cover
-    invariant holds by construction.
+    The delete-side refine phase.  ``open_bits[i]`` holds the subspaces
+    in which the point ``removed`` may have been the only dominator of
+    row ``rows[i]``; every other bit of that row's mask is known to
+    survive.  A point ``q`` re-covers bit ``δ`` of row ``v`` iff it
+    dominates ``v`` in ``δ``, i.e. ``δ`` is in
+    ``closure(le(q, v)) & ~closure(eq(q, v))``.
 
-    ``affected`` and ``rest`` must partition the live row indices.
-    Returns ``(len(affected), words)`` rows aligned with ``affected``.
+    ``survivors`` must hold every live row that was in the skyline of
+    an open subspace before the removal; no other row is needed.  If
+    anything dominates ``v`` in ``δ``, so does a live point nothing
+    live dominates in ``δ``.  That point was either in ``S_δ`` already
+    or dominated in ``δ`` by the removed point alone, and then it is
+    one of ``rows`` whose bit ``δ`` stays open to the end.
+
+    ``survivors`` and ``rows`` stream together, closest above the
+    removed point first: ascending ``sum(max(q - removed, 0))``, an
+    order in which a point precedes every point it dominates, and which
+    puts first the points that inherit most of what the removed point
+    dominated.  Each chunk is compared against the rows still open only
+    and clears the bits it covers; a row retires once nothing of it is
+    open.  Rows still open after :data:`REVERIFY_PREFIX` points, or
+    after all of them, finish in one ordinary
+    :class:`~repro.engine.packed.PackedSweep` against each other and
+    the survivors the stream did not reach.
+
+    Returns ``(len(rows), words)`` uint64 rows aligned with ``rows``:
+    the bits each row loses.  ``counters``, when given, receives the
+    pair comparisons actually made.
     """
-    ordered = np.concatenate([affected, rest])
-    sweep = PackedSweep(matrix[ordered], block=block, table=table)
-    return sweep.range_masks(0, len(affected))
+    d = matrix.shape[1]
+    table = closure_table(d) if table is None else table
+    low = (1 << d) - 1
+    lost = np.array(open_bits, dtype=np.uint64)
+    pending = np.arange(len(rows))
+    pool = np.zeros(len(matrix), dtype=bool)
+    pool[survivors] = True
+    pool[rows] = True
+    pool = np.flatnonzero(pool)
+    excess = np.maximum(matrix[pool] - removed, 0.0).sum(axis=1)
+    if len(pool) > REVERIFY_PREFIX:
+        head = np.argpartition(excess, REVERIFY_PREFIX)[:REVERIFY_PREFIX]
+        head = head[np.argsort(excess[head], kind="stable")]
+    else:
+        head = np.argsort(excess, kind="stable")
+    head = pool[head]
+    tests = 0
+    start = 0
+    while len(pending) and start < len(head):
+        budget = _CHUNK_BUDGET // (len(pending) * lost.shape[1])
+        step = max(1, min(start, budget))
+        chunk = matrix[head[start:start + step]]
+        start += len(chunk)
+        codes = dominance_pair_codes(chunk, matrix[rows[pending]])
+        tests += codes.size
+        cover = np.bitwise_or.reduce(
+            table[codes & low] & ~table[codes >> d], axis=1
+        )
+        left = lost[pending] & ~cover
+        lost[pending] = left
+        pending = pending[left.any(axis=1)]
+    if len(pending):
+        still = rows[pending]
+        reached = np.zeros(len(matrix), dtype=bool)
+        reached[head[:start]] = True
+        reached[still] = True
+        ordered = np.concatenate([still, survivors[~reached[survivors]]])
+        sweep = PackedSweep(matrix[ordered], table=table)
+        lost[pending] &= ~sweep.range_masks(0, len(still))
+        tests += len(still) * len(ordered)
+    if counters is not None:
+        counters.dominance_tests += tests
+    return lost
 
 
 #: Build / rebuild the node prefilter only past this many live rows —
@@ -254,11 +328,12 @@ class DeltaIndex:
         """Maintainer rows possibly ``<= point`` on some dimension.
 
         The prune-mask mirror of :meth:`candidates`, for the insert
-        path's own-mask fold: bit ``b`` of a node's prune mask is set
-        iff every node point is provably strictly *worse* than the
-        point on dim ``b``; all ``d`` bits set means no node point has
-        any coordinate ``<=`` the point's, so the node contributes
-        nothing to the new point's ``B_{p∉S}``.
+        path's own-mask fold and the delete path's recovered set: bit
+        ``b`` of a node's prune mask is set iff every node point is
+        provably strictly *worse* than the point on dim ``b``; all
+        ``d`` bits set means no node point has any coordinate ``<=``
+        the point's, so the node contributes nothing to the point's
+        ``B_{p∉S}`` (nor recovers any of its subspaces).
         """
         labels = self._labels
         pm, pq = self._point_labels(point)
