@@ -186,8 +186,8 @@ async def run_with_mutations(updater, holder, requests, window):
     ``(elapsed, read_latencies, writes_during_reads)``.
     """
     service = SkycubeService(
-        holder, window=window, max_batch=64,
-        max_pending=2 * CONCURRENCY, updater=updater,
+        updater, window=window, max_batch=64,
+        max_pending=2 * CONCURRENCY,
     )
     await service.start()
     read_latencies = []

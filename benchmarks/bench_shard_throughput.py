@@ -32,7 +32,7 @@ from repro.serve import (
     SkycubeService,
     SnapshotHolder,
 )
-from repro.shard import ShardCoordinator, ShardPlan, ShardService
+from repro.shard import ShardCoordinator, ShardPlan
 
 CONCURRENCY = 256
 SHARD_COUNTS = (1, 2, 4)
@@ -96,7 +96,7 @@ def run_sharded(data, requests, shards):
     coordinator = ShardCoordinator(
         data, plan, engine="packed-filtered", max_level=MAX_LEVEL
     )
-    service = ShardService(
+    service = SkycubeService(
         coordinator, window=0.002, max_batch=64,
         max_pending=2 * CONCURRENCY,
     )

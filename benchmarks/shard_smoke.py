@@ -17,7 +17,7 @@ processes behind it, a real TCP socket, a real SIGTERM:
 4. send SIGTERM and require a clean drain (exit 0, "drained, bye");
 5. run ``python -m repro trace analyze`` over the trace and require
    the stitched fan-out: per-shard compute spans, merge barriers with
-   straggler attribution, zero unclassified failures.
+   straggler attribution, zero InternalError or unclassified failures.
 
 Exit status 0 means the whole sharded path works end to end.
 """
@@ -103,7 +103,7 @@ def drive_queries(port, data, reference):
 def analyze_trace(trace_path):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "trace", "analyze", trace_path,
-         "--json", "--fail-on", "unclassified"],
+         "--json", "--fail-on", "InternalError,unclassified"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": "src"},

@@ -172,12 +172,14 @@ def cmd_serve(args) -> int:
     )
     from repro.serve import (
         LiveUpdater,
+        QueryBackend,
         ServeMetrics,
         ServingSnapshot,
         SkycubeService,
         SnapshotHolder,
         run_server,
     )
+    from repro.shard import ShardCoordinator, ShardPlan
     from repro.trace import (
         NULL_TRACER,
         JsonlTracer,
@@ -210,8 +212,7 @@ def cmd_serve(args) -> int:
     # ``engine_choice`` stays None when neither flag nor profile set
     # it, so each tier can apply its own default bootstrap engine.
     engine_choice = knob(args.engine, profile.engine.engine)
-    engine = engine_choice if engine_choice is not None else "packed"
-    backend = knob(args.backend, profile.engine.backend)
+    backend_choice = knob(args.backend, profile.engine.backend)
     live = args.live or profile.serve.live
     compact_every = knob(args.compact_every, profile.serve.compact_every)
     trace_path = knob(args.trace, profile.trace.path)
@@ -220,54 +221,27 @@ def cmd_serve(args) -> int:
 
     if shards < 0:
         raise SystemExit(f"--shards must be >= 0, got {shards}")
-    if shards > 0:
-        if live:
-            raise SystemExit(
-                "--live is not supported with --shards (the sharded "
-                "tier serves a static dataset)"
-            )
-        if args.snapshot:
-            raise SystemExit(
-                "--snapshot is not supported with --shards (shards "
-                "materialise their own local snapshots)"
-            )
-        return _serve_sharded(
-            args, profile, shards=shards, partitioner=partitioner,
-            host=host, port=port, window_ms=window_ms,
-            max_batch=max_batch, max_pending=max_pending,
-            max_level=max_level,
-            engine=(
-                engine_choice if engine_choice is not None
-                else "packed-filtered"
-            ),
-            backend=backend,
-            trace_path=trace_path,
+    if shards > 0 and live:
+        raise SystemExit(
+            "--live is not supported with --shards (the sharded "
+            "tier serves a static dataset)"
+        )
+    if shards > 0 and args.snapshot:
+        raise SystemExit(
+            "--snapshot is not supported with --shards (shards "
+            "materialise their own local snapshots)"
+        )
+    if live and args.snapshot:
+        raise SystemExit("--live rebuilds from the dataset; drop --snapshot")
+    if live and max_level is not None:
+        raise SystemExit(
+            "--live maintains the full cube; drop --max-level "
+            "(or [serve] max_level)"
         )
 
-    if args.snapshot:
-        from repro.core.serialize import load_skycube
-
-        try:
-            skycube = load_skycube(args.snapshot)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"cannot load snapshot {args.snapshot}: {error}")
-        data = _load(args.dataset)
-        if data.shape[1] != skycube.d:
-            raise SystemExit(
-                f"snapshot is {skycube.d}-dimensional but dataset has "
-                f"{data.shape[1]} columns"
-            )
-        holder = SnapshotHolder(
-            ServingSnapshot(
-                skycube.as_hashcube(), data, max_level=skycube.max_level
-            )
-        )
-        updater = None
-        if live:
-            raise SystemExit(
-                "--live rebuilds from the dataset; drop --snapshot"
-            )
-    # The tracer exists before the updater so the write path's
+    data = _load(args.dataset)
+    n, d = data.shape
+    # The tracer exists before the backend so the write path's
     # publish/compact spans are traced from the very first mutation.
     tracer = (
         JsonlTracer(trace_path, flush_every=profile.trace.flush_every)
@@ -276,94 +250,70 @@ def cmd_serve(args) -> int:
     )
     if tracer.enabled:
         install_executor_sink(tracer.executor_sink())
-    if not args.snapshot:
-        data = _load(args.dataset)
-        if live:
-            updater, holder = LiveUpdater.bootstrap(
+    try:
+        backend: QueryBackend
+        layout, live_note = "", f"live={'on' if live else 'off'}, "
+        if shards > 0:
+            try:
+                plan = ShardPlan.build(data, shards, partitioner=partitioner)
+            except ValueError as error:
+                raise SystemExit(str(error))
+            backend = ShardCoordinator(
+                data, plan,
+                engine=engine_choice or "packed-filtered",
+                max_level=max_level, backend=backend_choice,
+                timeout=profile.shard.worker_timeout_s, tracer=tracer,
+            )
+            layout = (
+                f"shards={plan.shards}, partitioner={plan.partitioner}, "
+                f"sizes={plan.sizes}, "
+            )
+            live_note = ""
+        elif live:
+            backend, _ = LiveUpdater.bootstrap(
                 data, compact_every=compact_every, tracer=tracer
             )
-        else:
-            updater = None
-            holder = SnapshotHolder(
-                ServingSnapshot.build(
-                    data, max_level=max_level, engine=engine,
-                    backend=backend,
+        elif args.snapshot:
+            from repro.core.serialize import load_skycube
+
+            try:
+                skycube = load_skycube(args.snapshot)
+            except (OSError, ValueError) as error:
+                raise SystemExit(
+                    f"cannot load snapshot {args.snapshot}: {error}"
                 )
-            )
-    service = SkycubeService(
-        holder,
-        window=window_ms / 1000.0,
-        max_batch=max_batch,
-        max_pending=max_pending,
-        metrics=ServeMetrics(),
-        updater=updater,
-        tracer=tracer,
-    )
-    if args.profile:
-        print(profile.describe())
-    print(
-        f"serving n={len(holder.current)} d={holder.current.d} "
-        f"(window={window_ms}ms, max_batch={max_batch}, "
-        f"max_pending={max_pending}, "
-        f"live={'on' if updater else 'off'}, "
-        f"trace={trace_path or 'off'})"
-    )
-    try:
+            if d != skycube.d:
+                raise SystemExit(
+                    f"snapshot is {skycube.d}-dimensional but dataset has "
+                    f"{d} columns"
+                )
+            backend = SnapshotHolder(ServingSnapshot(
+                skycube.as_hashcube(), data, max_level=skycube.max_level
+            ))
+        else:
+            backend = SnapshotHolder(ServingSnapshot.build(
+                data, max_level=max_level, engine=engine_choice or "packed",
+                backend=backend_choice,
+            ))
+        service = SkycubeService(
+            backend,
+            window=window_ms / 1000.0,
+            max_batch=max_batch,
+            max_pending=max_pending,
+            metrics=ServeMetrics(),
+            tracer=tracer,
+        )
+        if args.profile:
+            print(profile.describe())
+        print(
+            f"serving n={n} d={d} ({layout}window={window_ms}ms, "
+            f"max_batch={max_batch}, max_pending={max_pending}, "
+            f"{live_note}trace={trace_path or 'off'})"
+        )
         asyncio.run(run_server(service, host=host, port=port))
     finally:
         if tracer.enabled:
             uninstall_executor_sink()
-            tracer.close()
-    return 0
-
-
-def _serve_sharded(
-    args, profile, *, shards, partitioner, host, port, window_ms,
-    max_batch, max_pending, max_level, engine, backend, trace_path,
-) -> int:
-    """``serve --shards N``: the scatter–gather tier behind the same
-    TCP server, client and query CLI as the single-process path."""
-    import asyncio
-
-    from repro.serve import ServeMetrics, run_server
-    from repro.shard import ShardCoordinator, ShardPlan, ShardService
-    from repro.trace import NULL_TRACER, JsonlTracer
-
-    data = _load(args.dataset)
-    try:
-        plan = ShardPlan.build(data, shards, partitioner=partitioner)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    tracer = (
-        JsonlTracer(trace_path, flush_every=profile.trace.flush_every)
-        if trace_path
-        else NULL_TRACER
-    )
-    coordinator = ShardCoordinator(
-        data, plan, engine=engine, max_level=max_level, backend=backend,
-        timeout=profile.shard.worker_timeout_s, tracer=tracer,
-    )
-    service = ShardService(
-        coordinator,
-        window=window_ms / 1000.0,
-        max_batch=max_batch,
-        max_pending=max_pending,
-        metrics=ServeMetrics(),
-        tracer=tracer,
-    )
-    if args.profile:
-        print(profile.describe())
-    print(
-        f"serving n={plan.n} d={plan.d} "
-        f"(shards={plan.shards}, partitioner={plan.partitioner}, "
-        f"sizes={plan.sizes}, window={window_ms}ms, "
-        f"max_batch={max_batch}, max_pending={max_pending}, "
-        f"trace={trace_path or 'off'})"
-    )
-    try:
-        asyncio.run(run_server(service, host=host, port=port))
-    finally:
-        if tracer.enabled:
             tracer.close()
     return 0
 

@@ -11,7 +11,10 @@ queries arriving over the wire.  Pieces, each its own module:
   :class:`ChangeLog` for temporal ``skyline_diff`` queries);
 * :mod:`repro.serve.batcher` — micro-batching (:class:`MicroBatcher`);
 * :mod:`repro.serve.service` — routing, admission control, deadlines,
-  load shedding (:class:`SkycubeService`);
+  load shedding (:class:`SkycubeService`), over one
+  :class:`QueryBackend`: a :class:`SnapshotHolder`, a
+  :class:`LiveUpdater`, or the sharded tier's
+  :class:`~repro.shard.coordinator.ShardCoordinator`;
 * :mod:`repro.serve.server` — the NDJSON TCP front-end
   (:class:`SkycubeServer`, :func:`run_server`);
 * :mod:`repro.serve.metrics` — per-endpoint counters and latency
@@ -27,7 +30,7 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 from repro.serve.server import SkycubeServer, run_server
-from repro.serve.service import Request, Response, SkycubeService
+from repro.serve.service import QueryBackend, Request, Response, SkycubeService
 from repro.serve.snapshot import (
     ChangeLog,
     LiveUpdater,
@@ -40,6 +43,7 @@ __all__ = [
     "LatencyHistogram",
     "LiveUpdater",
     "MicroBatcher",
+    "QueryBackend",
     "Request",
     "Response",
     "ServeClient",

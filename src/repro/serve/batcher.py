@@ -70,8 +70,6 @@ class MicroBatcher(Generic[RequestT, ResponseT]):
         self._full: Optional[asyncio.Event] = None
         self._flusher: Optional[asyncio.Task] = None
         self._closed = False
-        #: Batch sizes actually executed (metrics hook reads and clears).
-        self.flushed_sizes: List[int] = []
 
     # -- lifecycle -----------------------------------------------------
 
@@ -92,11 +90,6 @@ class MicroBatcher(Generic[RequestT, ResponseT]):
         if self._flusher is not None:
             await self._flusher
             self._flusher = None
-
-    @property
-    def depth(self) -> int:
-        """Requests currently waiting for a flush."""
-        return len(self._queue)
 
     # -- submission ----------------------------------------------------
 
@@ -145,7 +138,6 @@ class MicroBatcher(Generic[RequestT, ResponseT]):
         self, batch: List[Tuple[RequestT, asyncio.Future]]
     ) -> None:
         requests = [request for request, _ in batch]
-        self.flushed_sizes.append(len(requests))
         try:
             outcome = self._execute(requests)
             if asyncio.iscoroutine(outcome):

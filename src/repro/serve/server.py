@@ -11,6 +11,9 @@ Wire protocol (one JSON object per line, UTF-8):
   "snapshot_version": 3}`` or ``{"id": 7, "ok": false, "error":
   {"type": "Overloaded", "message": "..."}}``.
 
+The server fronts one :class:`~repro.serve.service.SkycubeService`;
+which backend answers (static, live or sharded) never shows here.
+
 Shutdown is a graceful drain: on SIGTERM/SIGINT the listener stops
 accepting, in-flight requests finish (bounded by ``drain_timeout``),
 open connections close, and ``run_server`` returns — no response is
@@ -22,43 +25,21 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Any, Dict, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.serve.service import BAD_REQUEST, Request, Response, request_from_json
+from repro.serve.service import BAD_REQUEST, SkycubeService, request_from_json
 from repro.trace import BAD_REQUEST as TAXONOMY_BAD_REQUEST
 from repro.trace import TraceEvent
-from repro.trace.tracer import Tracer
 
-__all__ = ["ServiceLike", "SkycubeServer", "run_server"]
-
-
-class ServiceLike(Protocol):
-    """What the TCP front-end needs from a service.
-
-    Both :class:`~repro.serve.service.SkycubeService` (single process)
-    and :class:`~repro.shard.service.ShardService` (scatter–gather)
-    satisfy this; the server never cares which one answers.
-    """
-
-    @property
-    def d(self) -> int: ...
-
-    @property
-    def tracer(self) -> Tracer: ...
-
-    async def start(self) -> None: ...
-
-    async def stop(self) -> None: ...
-
-    async def submit(self, request: Request) -> Response: ...
+__all__ = ["SkycubeServer", "run_server"]
 
 
 class SkycubeServer:
-    """One listening socket bound to one :class:`ServiceLike` service."""
+    """One listening socket bound to one :class:`SkycubeService`."""
 
     def __init__(
         self,
-        service: ServiceLike,
+        service: SkycubeService,
         host: str = "127.0.0.1",
         port: int = 0,
         drain_timeout: float = 10.0,
@@ -219,7 +200,7 @@ class SkycubeServer:
 
 
 async def run_server(
-    service: ServiceLike,
+    service: SkycubeService,
     host: str = "127.0.0.1",
     port: int = 0,
     install_signals: bool = True,

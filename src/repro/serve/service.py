@@ -1,22 +1,31 @@
 """The skycube query service: routing, admission control, batch execution.
 
-One :class:`SkycubeService` fronts one :class:`SnapshotHolder`.  A
-request travels: admission check (bounded in-flight queue — beyond
+One :class:`SkycubeService` fronts one :class:`QueryBackend` — a
+:class:`~repro.serve.snapshot.SnapshotHolder` (static), a
+:class:`~repro.serve.snapshot.LiveUpdater` (``--live``) or a
+:class:`~repro.shard.coordinator.ShardCoordinator` (``--shards N``).
+A request travels: admission check (bounded in-flight queue — beyond
 ``max_pending`` the request is *shed* with a typed ``Overloaded``
 response instead of queueing unboundedly) → micro-batcher → batch
 execution against a single snapshot capture → typed response.
 
 Batch execution is where the coalescing pays: requests are grouped by
 ``(op, arguments)`` and each distinct group is computed once — the
-HashCube probe, membership word test, or ad-hoc kernel pass — then
-fanned back out to every waiter.  Because the whole batch reads one
-snapshot, every response is tagged with that snapshot's version and is
-never a torn mix of pre- and post-update state.
+HashCube probe, membership word test, ad-hoc kernel pass or shard
+scatter–gather — then fanned back out to every waiter.  Because the
+whole batch reads one snapshot, every response is tagged with that
+snapshot's version and is never a torn mix of pre- and post-update
+state.
 
 Deadlines propagate: a request carries an absolute event-loop deadline
 (set from the client's ``timeout_ms``), and a batch that gets to it too
 late answers ``DeadlineExceeded`` rather than burning compute on an
 answer nobody is waiting for.
+
+Backends refuse with typed exceptions and only this module turns them
+into wire errors: ``KeyError``/``ValueError`` → ``BadRequest``,
+:class:`UnsupportedError` → ``Unsupported``,
+:class:`BackendUnavailableError` → ``Internal``.
 
 When a :class:`~repro.trace.Tracer` is attached, every request leaves
 one event per lifecycle stage — ``admit`` (admission decision),
@@ -31,12 +40,23 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.core.bitmask import parse_subspace
 from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import ServeMetrics
-from repro.serve.snapshot import LiveUpdater, ServingSnapshot, SnapshotHolder
 from repro.trace import (
     BAD_REQUEST as TAXONOMY_BAD_REQUEST,
     DEADLINE_EXCEEDED as TAXONOMY_DEADLINE,
@@ -44,16 +64,22 @@ from repro.trace import (
     NULL_TRACER,
     SHED,
     SNAPSHOT_SWAP_RACE,
+    WORKER_DEATH,
     TraceEvent,
     Tracer,
     classify_wire_error,
 )
 
 __all__ = [
+    "Answer",
+    "BackendUnavailableError",
+    "QueryBackend",
+    "QuerySnapshot",
     "Request",
     "Response",
     "SkycubeService",
     "QUERY_OPS",
+    "UnsupportedError",
     "request_from_json",
 ]
 
@@ -69,10 +95,28 @@ NOT_FOUND = "NotFound"
 DEADLINE_EXCEEDED = "DeadlineExceeded"
 INTERNAL = "Internal"
 #: A structurally valid request for a capability this deployment does
-#: not offer (live updates on the sharded tier, ``skyline_diff`` with
-#: no changelog).  Distinct from ``BadRequest`` so clients can tell
-#: "fix your request" from "ask a different deployment".
+#: not offer (``insert``, ``delete`` and ``skyline_diff`` on the sharded
+#: tier).  Distinct from ``BadRequest`` so clients can tell "fix your
+#: request" from "ask a different deployment"; the static tier answers
+#: ``BadRequest`` to all three, as ``--live`` would enable them.
 UNSUPPORTED = "Unsupported"
+
+
+class UnsupportedError(Exception):
+    """A backend's refusal of an op this deployment does not offer."""
+
+
+class BackendUnavailableError(RuntimeError):
+    """The backend has nothing left to answer with (every shard died)."""
+
+
+#: Typed refusals a backend may raise from ``answer``/``insert``/
+#: ``delete``; anything else is a bug and answers ``Internal``.
+_REFUSALS = (UnsupportedError, BackendUnavailableError, KeyError, ValueError)
+
+#: One backend answer: the result, plus the ids of the shards that
+#: failed to contribute to it (empty unless a sharded answer degraded).
+Answer = Tuple[Any, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -247,24 +291,94 @@ def request_from_json(
     )
 
 
+class QuerySnapshot(Protocol):
+    """The backend state one batch is answered from."""
+
+    @property
+    def version(self) -> int: ...
+
+    @property
+    def d(self) -> int: ...
+
+    def knows(self, point_id: int) -> bool: ...
+
+
+class QueryBackend(Protocol):
+    """What :class:`SkycubeService` needs from the tier behind it.
+
+    ``current`` is read once per batch and handed back to ``answer``
+    for each distinct query in it.  An in-process backend answers
+    directly, so its batch runs in one step of the event loop; an
+    awaitable answer (a shard scatter–gather) is awaited, distinct
+    keys concurrently.  ``start``, ``insert`` and ``delete`` block:
+    the service runs them in a worker thread, writes one at a time.
+    """
+
+    @property
+    def current(self) -> QuerySnapshot: ...
+
+    def answer(
+        self, snapshot: Any, request: Request
+    ) -> Union[Answer, Awaitable[Answer]]: ...
+
+    def describe(self) -> Dict[str, Any]: ...  # the ``ping`` payload
+
+    def metrics_extra(self) -> Dict[str, Any]: ...  # added to ``metrics``
+
+    def start(self) -> None: ...
+
+    async def aclose(self) -> None: ...
+
+    def insert(self, point: Sequence[float]) -> Tuple[int, int]: ...
+
+    def delete(self, point_id: int) -> Tuple[Optional[int], int]: ...
+
+
+def _refusal(op: str, error: Exception) -> Response:
+    """The wire error for one of a backend's typed refusals."""
+    if isinstance(error, UnsupportedError):
+        return _error(
+            op, UNSUPPORTED, str(error), failure_class=TAXONOMY_BAD_REQUEST
+        )
+    if isinstance(error, BackendUnavailableError):
+        return _error(op, INTERNAL, str(error), failure_class=WORKER_DEATH)
+    return _error(
+        op, BAD_REQUEST, str(error), failure_class=TAXONOMY_BAD_REQUEST
+    )
+
+
+def _answered(
+    snapshot: QuerySnapshot, request: Request, answer: Answer
+) -> Response:
+    result, failed = answer
+    return Response(
+        op=request.op, ok=True, result=result,
+        snapshot_version=snapshot.version,
+        # The typed degraded-mode marker: a success that lost shards.
+        partial=None if not failed else {
+            "degraded": True,
+            "failed_shards": sorted(failed),
+            "failure_class": WORKER_DEATH,
+        },
+    )
+
+
 class SkycubeService:
-    """Routes requests to the batcher, the updater, or metrics."""
+    """Routes requests to the batcher, the backend's writes, or metrics."""
 
     def __init__(
         self,
-        holder: SnapshotHolder,
+        backend: QueryBackend,
         window: float = 0.002,
         max_batch: int = 64,
         max_pending: int = 1024,
         metrics: Optional[ServeMetrics] = None,
-        updater: Optional[LiveUpdater] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.holder = holder
+        self.backend = backend
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.updater = updater
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.max_pending = max_pending
         self._pending = 0
@@ -273,10 +387,7 @@ class SkycubeService:
             on_executor_error=self._on_batch_error,
         )
         self._update_gate = asyncio.Lock()
-        self.metrics.observe_snapshot(holder.version)
-        holder.subscribe(
-            lambda snapshot: self.metrics.observe_snapshot(snapshot.version)
-        )
+        self.metrics.observe_snapshot(backend.current.version)
 
     def _on_batch_error(self, batch_size: int, error: Exception) -> None:
         """A whole flush failed in the executor: an internal bug."""
@@ -291,19 +402,16 @@ class SkycubeService:
 
     @property
     def d(self) -> int:
-        return self.holder.current.d
-
-    @property
-    def pending(self) -> int:
-        """In-flight batched requests (the bounded queue's occupancy)."""
-        return self._pending
+        return self.backend.current.d
 
     async def start(self) -> None:
+        await asyncio.to_thread(self.backend.start)
         await self._batcher.start()
 
     async def stop(self) -> None:
-        """Drain: flush queued requests, then stop accepting."""
+        """Drain: flush queued requests, then release the backend."""
         await self._batcher.stop()
+        await self.backend.aclose()
 
     # -- submission ----------------------------------------------------
 
@@ -314,6 +422,7 @@ class SkycubeService:
         loop = asyncio.get_running_loop()
         started = loop.time()
         tracer = self.tracer
+        backend = self.backend
         if tracer.enabled:
             # Stamp the trace context once: the request id ties the
             # four lifecycle events together, and the admit-time
@@ -322,7 +431,7 @@ class SkycubeService:
             request = replace(
                 request,
                 trace_id=tracer.next_request_id(),
-                admit_version=self.holder.version,
+                admit_version=backend.current.version,
                 admitted_at=started,
             )
         try:
@@ -330,19 +439,17 @@ class SkycubeService:
                 response = await self._submit_query(request)
             elif op == "metrics":
                 response = Response(
-                    op=op, ok=True, result=self.metrics.as_dict(),
-                    snapshot_version=self.holder.version,
+                    op=op, ok=True,
+                    result={**self.metrics.as_dict(), **backend.metrics_extra()},
+                    snapshot_version=backend.current.version,
                 )
             elif op == "ping":
                 response = Response(
-                    op=op, ok=True,
-                    result={"d": self.d, "n": len(self.holder.current)},
-                    snapshot_version=self.holder.version,
+                    op=op, ok=True, result=backend.describe(),
+                    snapshot_version=backend.current.version,
                 )
-            elif op == "insert":
-                response = await self._submit_insert(request)
-            elif op == "delete":
-                response = await self._submit_delete(request)
+            elif op in ("insert", "delete"):
+                response = await self._submit_write(request)
             else:
                 response = _error(
                     op, BAD_REQUEST, f"unknown op {op!r}",
@@ -372,6 +479,7 @@ class SkycubeService:
                 delta=request.delta,
                 snapshot_version=response.snapshot_version,
                 duration_ms=1000.0 * (loop.time() - started),
+                detail="degraded" if response.partial else None,
             ))
         return response
 
@@ -406,64 +514,59 @@ class SkycubeService:
             self._pending -= 1
             self.metrics.observe_queue_depth(self._pending)
 
-    async def _submit_insert(self, request: Request) -> Response:
-        if self.updater is None:
-            return _error(
-                request.op, BAD_REQUEST,
-                "live updates are disabled on this server",
-                failure_class=TAXONOMY_BAD_REQUEST,
-            )
-        assert request.point is not None  # request_from_json enforces it
-        async with self._update_gate:
-            point_id, version = await asyncio.to_thread(
-                self.updater.insert, request.point
-            )
-        return Response(
-            op=request.op, ok=True, result={"point_id": point_id},
-            snapshot_version=version,
-        )
-
-    async def _submit_delete(self, request: Request) -> Response:
-        if self.updater is None:
-            return _error(
-                request.op, BAD_REQUEST,
-                "live updates are disabled on this server",
-                failure_class=TAXONOMY_BAD_REQUEST,
-            )
-        assert request.point_id is not None  # request_from_json enforces it
+    async def _submit_write(self, request: Request) -> Response:
+        """``insert``/``delete``: serialised, off the event loop."""
+        backend = self.backend
+        result: Dict[str, Any]
         try:
             async with self._update_gate:
-                _, version = await asyncio.to_thread(
-                    self.updater.delete, request.point_id
-                )
+                if request.op == "insert":
+                    assert request.point is not None  # request_from_json
+                    point_id, version = await asyncio.to_thread(
+                        backend.insert, request.point
+                    )
+                    result = {"point_id": point_id}
+                else:
+                    assert request.point_id is not None  # request_from_json
+                    _, version = await asyncio.to_thread(
+                        backend.delete, request.point_id
+                    )
+                    result = {"deleted": request.point_id}
         except KeyError:
             return _error(
                 request.op, NOT_FOUND,
                 f"unknown point id {request.point_id}",
                 failure_class=TAXONOMY_BAD_REQUEST,
             )
+        except (UnsupportedError, ValueError) as error:
+            return _refusal(request.op, error)
+        self.metrics.observe_snapshot(version)
         return Response(
-            op=request.op, ok=True, result={"deleted": request.point_id},
-            snapshot_version=version,
+            op=request.op, ok=True, result=result, snapshot_version=version,
         )
 
     # -- batch execution ----------------------------------------------
 
-    def _execute_batch(self, requests: List[Request]) -> List[Response]:
+    def _execute_batch(
+        self, requests: List[Request]
+    ) -> Union[List[Response], Awaitable[List[Response]]]:
         """Answer a whole batch from one snapshot capture.
 
         Grouping by :meth:`Request.key` means each distinct question is
         computed once per batch regardless of how many clients asked it
-        — the vectorised pass (ad-hoc subspaces) and the cube probes
-        are both shared.
+        — the vectorised pass (ad-hoc subspaces), the cube probes and
+        the shard scatter–gathers are all shared.  Direct answers fan
+        out on the spot, so an in-process batch never leaves this call;
+        awaitable answers are gathered by :meth:`_gather`.
         """
-        snapshot = self.holder.current
+        snapshot = self.backend.current
         loop = asyncio.get_running_loop()
         now = loop.time()
         tracer = self.tracer
         batch_size = len(requests)
         cache: Dict[Tuple[Any, ...], Response] = {}
-        responses: List[Response] = []
+        awaited: Dict[Tuple[Any, ...], Awaitable[Response]] = {}
+        responses: List[Optional[Response]] = []
         for request in requests:
             if tracer.enabled:
                 waited = (
@@ -476,11 +579,6 @@ class SkycubeService:
                     batch_size=batch_size, duration_ms=waited,
                 ))
             if request.deadline is not None and now > request.deadline:
-                response = _error(
-                    request.op, DEADLINE_EXCEEDED,
-                    "deadline expired before execution",
-                    failure_class=TAXONOMY_DEADLINE,
-                )
                 if tracer.enabled:
                     tracer.emit(TraceEvent(
                         stage="compute", outcome="failure",
@@ -489,101 +587,122 @@ class SkycubeService:
                         delta=request.delta,
                         snapshot_version=snapshot.version,
                     ))
-                responses.append(response)
+                responses.append(_error(
+                    request.op, DEADLINE_EXCEEDED,
+                    "deadline expired before execution",
+                    failure_class=TAXONOMY_DEADLINE,
+                ))
                 continue
             key = request.key()
             response = cache.get(key)
-            coalesced = response is not None
-            if response is None:
+            coalesced = response is not None or key in awaited
+            elapsed_ms = 0.0
+            if not coalesced:
                 before = loop.time()
-                response = self._answer(snapshot, request)
-                elapsed_ms = 1000.0 * (loop.time() - before)
-                cache[key] = response
-            else:
-                elapsed_ms = 0.0
-            if tracer.enabled:
-                tracer.emit(TraceEvent(
-                    stage="compute",
-                    outcome="ok" if response.ok else "failure",
-                    failure=response.failure_class,
-                    request_id=request.trace_id, op=request.op,
-                    delta=request.delta,
-                    snapshot_version=snapshot.version,
-                    duration_ms=elapsed_ms,
-                    detail="coalesced" if coalesced else None,
-                ))
+                answer = self._answer(snapshot, request)
+                if isinstance(answer, Response):
+                    response = cache[key] = answer
+                    elapsed_ms = 1000.0 * (loop.time() - before)
+                else:
+                    awaited[key] = answer  # traces itself when it resolves
+            if response is not None and tracer.enabled:
+                self._trace_compute(
+                    request, response, snapshot.version, elapsed_ms, coalesced
+                )
             responses.append(response)
+        if awaited:
+            return self._gather(requests, responses, awaited, snapshot.version)
+        self.metrics.record_batch(batch_size)
+        return cast(List[Response], responses)
+
+    async def _gather(
+        self,
+        requests: List[Request],
+        responses: List[Optional[Response]],
+        awaited: Dict[Tuple[Any, ...], Awaitable[Response]],
+        version: int,
+    ) -> List[Response]:
+        """Await the pending answers, distinct keys concurrently, then
+        fan each out to the riders that coalesced onto it."""
+        answers = dict(zip(awaited, await asyncio.gather(*awaited.values())))
+        executed: Set[Tuple[Any, ...]] = set()
+        for position, request in enumerate(requests):
+            if responses[position] is None:
+                key = request.key()
+                response = responses[position] = answers[key]
+                if key in executed and self.tracer.enabled:
+                    self._trace_compute(request, response, version, 0.0, True)
+                executed.add(key)
         self.metrics.record_batch(len(requests))
-        return responses
+        return cast(List[Response], responses)
+
+    def _trace_compute(
+        self,
+        request: Request,
+        response: Response,
+        version: int,
+        elapsed_ms: float,
+        coalesced: bool,
+    ) -> None:
+        self.tracer.emit(TraceEvent(
+            stage="compute",
+            outcome="ok" if response.ok else "failure",
+            failure=response.failure_class,
+            request_id=request.trace_id, op=request.op,
+            delta=request.delta,
+            snapshot_version=version,
+            duration_ms=elapsed_ms,
+            detail="coalesced" if coalesced else None,
+        ))
 
     def _answer(
-        self, snapshot: ServingSnapshot, request: Request
-    ) -> Response:
-        try:
-            if request.op == "skyline":
-                assert request.delta is not None
-                result: Any = list(snapshot.skyline(request.delta))
-            elif request.op == "membership":
-                assert request.point_id is not None
-                assert request.delta is not None
-                if not snapshot.knows(request.point_id):
-                    # The one context-dependent classification: if the
-                    # snapshot moved between admission and this batch, a
-                    # racing delete may have removed the point — that is
-                    # the serving layer's race, not the client's mistake.
-                    raced = (
-                        request.admit_version is not None
-                        and snapshot.version != request.admit_version
-                    )
-                    return _error(
-                        request.op, NOT_FOUND,
-                        f"unknown point id {request.point_id}",
-                        failure_class=(
-                            SNAPSHOT_SWAP_RACE if raced
-                            else TAXONOMY_BAD_REQUEST
-                        ),
-                    )
-                result = snapshot.membership(request.point_id, request.delta)
-            elif request.op == "topk_dynamic":
-                assert request.q is not None
-                result = snapshot.topk_dynamic(
-                    request.q, k=request.k, delta=request.delta
+        self, snapshot: QuerySnapshot, request: Request
+    ) -> Union[Response, Awaitable[Response]]:
+        """One distinct query: the backend's answer or typed refusal."""
+        if request.op == "membership":
+            assert request.point_id is not None
+            if not snapshot.knows(request.point_id):
+                # The one context-dependent classification: if the
+                # snapshot moved between admission and this batch, a
+                # racing delete may have removed the point — that is
+                # the serving layer's race, not the client's mistake.
+                raced = (
+                    request.admit_version is not None
+                    and snapshot.version != request.admit_version
                 )
-            elif request.op == "skyline_diff":
-                assert request.delta is not None
-                assert request.v_from is not None
-                assert request.v_to is not None
-                if self.updater is None:
-                    return _error(
-                        request.op, BAD_REQUEST,
-                        "skyline_diff needs live updates enabled "
-                        "(no changelog on this server)",
-                        failure_class=TAXONOMY_BAD_REQUEST,
-                    )
-                entered, left = self.updater.skyline_diff(
-                    request.delta, request.v_from, request.v_to
-                )
-                result = {
-                    "entered": entered, "left": left,
-                    "from": request.v_from, "to": request.v_to,
-                }
-            else:
                 return _error(
-                    request.op, BAD_REQUEST,
-                    f"op {request.op!r} is not a batched query",
-                    failure_class=TAXONOMY_BAD_REQUEST,
+                    request.op, NOT_FOUND,
+                    f"unknown point id {request.point_id}",
+                    failure_class=(
+                        SNAPSHOT_SWAP_RACE if raced
+                        else TAXONOMY_BAD_REQUEST
+                    ),
                 )
-        except KeyError as error:
-            return _error(
-                request.op, BAD_REQUEST, str(error),
-                failure_class=TAXONOMY_BAD_REQUEST,
+        try:
+            answer = self.backend.answer(snapshot, request)
+        except _REFUSALS as error:
+            return _refusal(request.op, error)
+        if isinstance(answer, tuple):
+            return _answered(snapshot, request, answer)
+        return self._await_answer(snapshot, request, answer)
+
+    async def _await_answer(
+        self,
+        snapshot: QuerySnapshot,
+        request: Request,
+        pending: Awaitable[Answer],
+    ) -> Response:
+        """An awaitable answer; its ``compute`` event spans the await
+        (for a shard query: the whole scatter–gather plus merge)."""
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            response = _answered(snapshot, request, await pending)
+        except _REFUSALS as error:
+            response = _refusal(request.op, error)
+        if self.tracer.enabled:
+            self._trace_compute(
+                request, response, snapshot.version,
+                1000.0 * (loop.time() - started), False,
             )
-        except ValueError as error:
-            return _error(
-                request.op, BAD_REQUEST, str(error),
-                failure_class=TAXONOMY_BAD_REQUEST,
-            )
-        return Response(
-            op=request.op, ok=True, result=result,
-            snapshot_version=snapshot.version,
-        )
+        return response

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,12 @@ from repro.engine import fast_skycube, fast_skyline
 from repro.query.dynamic import dynamic_topk
 from repro.trace import NULL_TRACER, TraceEvent, Tracer
 
+if TYPE_CHECKING:  # type-only: the service layer sits above snapshots
+    from repro.serve.service import Request
+
 __all__ = ["ServingSnapshot", "SnapshotHolder", "ChangeLog", "LiveUpdater"]
+
+_UPDATES_DISABLED = "live updates are disabled on this server"
 
 
 class ServingSnapshot:
@@ -212,9 +217,13 @@ class SnapshotHolder:
 
     ``current`` is read without any locking — publishing is one
     attribute assignment, so a reader sees either the old or the new
-    snapshot object, both internally consistent.  ``on_publish``
-    callbacks let the server push the new version into metrics and let
-    tests retain every published snapshot for consistency checks.
+    snapshot object, both internally consistent.  ``subscribe``
+    callbacks see every publish (tests retain every published snapshot
+    for consistency checks).
+
+    A holder is also the static tier's
+    :class:`~repro.serve.service.QueryBackend`; it refuses writes and
+    ``skyline_diff`` with ``ValueError`` (``BadRequest``: no ``--live``).
     """
 
     def __init__(self, initial: ServingSnapshot) -> None:
@@ -244,6 +253,51 @@ class SnapshotHolder:
             self._snapshot = snapshot
         for callback in list(self._subscribers):
             callback(snapshot)
+
+    # -- QueryBackend: the static tier ---------------------------------
+
+    def answer(
+        self, snapshot: ServingSnapshot, request: "Request"
+    ) -> Tuple[Any, Tuple[int, ...]]:
+        """One batched query against ``snapshot``; no shards can fail."""
+        op = request.op
+        if op == "skyline":
+            assert request.delta is not None
+            return list(snapshot.skyline(request.delta)), ()
+        if op == "membership":
+            assert request.point_id is not None
+            assert request.delta is not None
+            return snapshot.membership(request.point_id, request.delta), ()
+        if op == "topk_dynamic":
+            assert request.q is not None
+            return snapshot.topk_dynamic(
+                request.q, k=request.k, delta=request.delta
+            ), ()
+        if op == "skyline_diff":
+            raise ValueError(
+                "skyline_diff needs live updates enabled "
+                "(no changelog on this server)"
+            )
+        raise ValueError(f"op {op!r} is not a batched query")
+
+    def describe(self) -> Dict[str, Any]:
+        snapshot = self._snapshot
+        return {"d": snapshot.d, "n": len(snapshot)}
+
+    def metrics_extra(self) -> Dict[str, Any]:
+        return {}
+
+    def start(self) -> None:
+        """Nothing to start: the snapshot is already built."""
+
+    async def aclose(self) -> None:
+        """Nothing to release."""
+
+    def insert(self, point: Sequence[float]) -> Tuple[int, int]:
+        raise ValueError(_UPDATES_DISABLED)
+
+    def delete(self, point_id: int) -> Tuple[Optional[int], int]:
+        raise ValueError(_UPDATES_DISABLED)
 
 
 class ChangeLog:
@@ -379,7 +433,9 @@ class LiveUpdater:
     and ends by publishing a new :class:`ServingSnapshot`, so queries
     racing an update see exactly the before- or after-state.  The
     service calls :meth:`insert`/:meth:`delete` from a worker thread
-    (``asyncio.to_thread``) to keep the event loop free.
+    (``asyncio.to_thread``) to keep the event loop free.  As the live
+    tier's :class:`~repro.serve.service.QueryBackend` it answers reads
+    through its holder and ``skyline_diff`` from its :class:`ChangeLog`.
 
     Publishing is incremental: the maintainer reports the exact
     :class:`~repro.core.maintain.MaskDelta` of the mutation, the new
@@ -535,3 +591,36 @@ class LiveUpdater:
     ) -> Tuple[List[int], List[int]]:
         """``(entered, left)`` of ``S_δ`` between two published versions."""
         return self.changelog.diff(delta, v_from, v_to)
+
+    # -- QueryBackend: the holder's reads plus the changelog -----------
+
+    @property
+    def current(self) -> ServingSnapshot:
+        return self.holder.current
+
+    def answer(
+        self, snapshot: ServingSnapshot, request: "Request"
+    ) -> Tuple[Any, Tuple[int, ...]]:
+        if request.op != "skyline_diff":
+            return self.holder.answer(snapshot, request)
+        assert request.delta is not None
+        assert request.v_from is not None and request.v_to is not None
+        entered, left = self.skyline_diff(
+            request.delta, request.v_from, request.v_to
+        )
+        return {
+            "entered": entered, "left": left,
+            "from": request.v_from, "to": request.v_to,
+        }, ()
+
+    def describe(self) -> Dict[str, Any]:
+        return self.holder.describe()
+
+    def metrics_extra(self) -> Dict[str, Any]:
+        return {}
+
+    def start(self) -> None:
+        """Nothing to start: :meth:`bootstrap` built everything."""
+
+    async def aclose(self) -> None:
+        """Nothing to release."""

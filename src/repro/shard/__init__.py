@@ -6,10 +6,12 @@ The multi-process counterpart of :mod:`repro.serve`: a
 angular, tree-leaf), a :class:`~repro.shard.coordinator.ShardCoordinator`
 spawns one worker process per shard over zero-copy shared-memory
 slices and merges per-shard answers via the local-skyline union
-property (bit-identical to the single-process engine), and a
-:class:`~repro.shard.service.ShardService` fronts it with the same
-admission/batching/tracing lifecycle — so the TCP server, client and
-CLI run unchanged over ``python -m repro serve data.npy --shards N``.
+property (bit-identical to the single-process engine).  The coordinator
+is a :class:`~repro.serve.service.QueryBackend`, so the one
+:class:`~repro.serve.service.SkycubeService` fronts it with the same
+admission/batching/tracing lifecycle as the single-process tiers — and
+the TCP server, client and CLI run unchanged over
+``python -m repro serve data.npy --shards N``.
 """
 
 from repro.shard.coordinator import (
@@ -18,7 +20,6 @@ from repro.shard.coordinator import (
     ShardDeadError,
 )
 from repro.shard.plan import PARTITIONER_NAMES, PARTITIONERS, ShardPlan
-from repro.shard.service import ShardService
 from repro.shard.worker import WorkerSpec, shard_worker_main
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardDeadError",
     "NoLiveShardsError",
-    "ShardService",
     "WorkerSpec",
     "shard_worker_main",
 ]

@@ -48,12 +48,13 @@ import itertools
 import multiprocessing
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.engine.kernels import fast_skyline
 from repro.engine.parallel import SharedDataset
+from repro.serve.service import BackendUnavailableError, Request, UnsupportedError
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import WorkerSpec, shard_worker_main
 from repro.trace import NULL_TRACER, WORKER_DEATH, TraceEvent, Tracer
@@ -70,8 +71,16 @@ class ShardDeadError(RuntimeError):
         self.reason = reason
 
 
-class NoLiveShardsError(RuntimeError):
+class NoLiveShardsError(BackendUnavailableError):
     """Every shard is dead — there is nobody left to scatter to."""
+
+
+#: ``Unsupported``, not ``BadRequest``: each shard snapshots on its own,
+#: so there is no cross-shard version to mutate or diff yet.
+_LIVE_UNSUPPORTED = (
+    "live updates are not supported on the sharded tier "
+    "(see docs/SHARDING.md: delta publish per shard)"
+)
 
 
 class _ShardHandle:
@@ -169,6 +178,9 @@ class ShardCoordinator:
     queries are coroutines.  ``version`` is constant 0 — the sharded
     tier serves a static dataset; live updates stay on the
     single-process tier until re-sharding lands.
+
+    As the sharded tier's :class:`~repro.serve.service.QueryBackend`
+    it answers each batched query with a scatter–gather coroutine.
     """
 
     version = 0
@@ -240,7 +252,7 @@ class ShardCoordinator:
         return 0 <= point_id < self.plan.n
 
     def status(self) -> Dict[str, Any]:
-        """Ping/metrics payload: the plan plus per-shard liveness."""
+        """The plan plus per-shard liveness."""
         info = self.plan.describe()
         info["alive"] = [handle.alive for handle in self._handles]
         return info
@@ -534,3 +546,46 @@ class ShardCoordinator:
             merge_ms, len(candidates),
         )
         return result, failed
+
+    # -- QueryBackend --------------------------------------------------
+
+    @property
+    def current(self) -> "ShardCoordinator":
+        """One static version: the coordinator is its own snapshot."""
+        return self
+
+    def answer(
+        self, snapshot: Any, request: Request
+    ) -> Awaitable[Tuple[Any, List[int]]]:
+        """One batched query as a scatter–gather under its trace id."""
+        if request.op == "skyline":
+            assert request.delta is not None
+            return self.skyline(request.delta, request_id=request.trace_id)
+        if request.op == "membership":
+            assert request.point_id is not None
+            assert request.delta is not None
+            return self.membership(
+                request.point_id, request.delta, request_id=request.trace_id
+            )
+        if request.op == "topk_dynamic":
+            assert request.q is not None
+            return self.topk_dynamic(
+                request.q, k=request.k, delta=request.delta,
+                request_id=request.trace_id,
+            )
+        raise UnsupportedError(_LIVE_UNSUPPORTED)
+
+    def describe(self) -> Dict[str, Any]:
+        return {
+            "d": self.d, "n": self.n, "shards": self.plan.shards,
+            "alive": self.alive_count, "partitioner": self.plan.partitioner,
+        }
+
+    def metrics_extra(self) -> Dict[str, Any]:
+        return {"shards": self.status()}
+
+    def insert(self, point: Sequence[float]) -> Tuple[int, int]:
+        raise UnsupportedError(_LIVE_UNSUPPORTED)
+
+    def delete(self, point_id: int) -> Tuple[Optional[int], int]:
+        raise UnsupportedError(_LIVE_UNSUPPORTED)

@@ -95,6 +95,17 @@ class TestReproCLI:
             repro_main(["serve", dataset_file,
                         "--snapshot", snapshot_path, "--live"])
 
+    def test_serve_live_max_level_conflict(self, dataset_file, tmp_path):
+        # The maintainer keeps the full cube: a partial-cube setting
+        # must fail at startup, not be dropped silently.
+        with pytest.raises(SystemExit, match="drop --max-level"):
+            repro_main(["serve", dataset_file, "--live", "--max-level", "2"])
+        profile_path = tmp_path / "live.toml"
+        profile_path.write_text("[serve]\nlive = true\nmax_level = 2\n")
+        with pytest.raises(SystemExit, match="drop --max-level"):
+            repro_main(["serve", dataset_file,
+                        "--profile", str(profile_path)])
+
     def test_serve_snapshot_dimension_mismatch(self, dataset_file, tmp_path):
         from repro.core.serialize import save_skycube
         from repro.data.generator import generate

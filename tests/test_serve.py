@@ -136,16 +136,19 @@ class TestSnapshotHolder:
 class TestMicroBatcher:
     def test_coalesces_within_window(self):
         async def scenario():
-            batcher = MicroBatcher(
-                lambda batch: [value * 2 for value in batch],
-                window=0.02, max_batch=64,
-            )
+            sizes = []
+
+            def double(batch):
+                sizes.append(len(batch))
+                return [value * 2 for value in batch]
+
+            batcher = MicroBatcher(double, window=0.02, max_batch=64)
             await batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(10))
             )
             await batcher.stop()
-            return results, batcher.flushed_sizes
+            return results, sizes
 
         results, sizes = run(scenario())
         assert results == [i * 2 for i in range(10)]
@@ -153,13 +156,17 @@ class TestMicroBatcher:
 
     def test_max_batch_caps_flush_size(self):
         async def scenario():
-            batcher = MicroBatcher(
-                lambda batch: list(batch), window=0.02, max_batch=4
-            )
+            sizes = []
+
+            def echo(batch):
+                sizes.append(len(batch))
+                return list(batch)
+
+            batcher = MicroBatcher(echo, window=0.02, max_batch=4)
             await batcher.start()
             await asyncio.gather(*(batcher.submit(i) for i in range(10)))
             await batcher.stop()
-            return batcher.flushed_sizes
+            return sizes
 
         sizes = run(scenario())
         assert all(size <= 4 for size in sizes)
@@ -486,8 +493,7 @@ class TestLiveUpdateConsistency:
                 )
             )
             service = SkycubeService(
-                holder, window=0.002, max_batch=64, max_pending=512,
-                updater=updater,
+                updater, window=0.002, max_batch=64, max_pending=512,
             )
             await service.start()
             server = SkycubeServer(service, port=0)
@@ -598,7 +604,7 @@ class TestSkylineDiffOp:
                     snapshot.version, snapshot
                 )
             )
-            service = SkycubeService(holder, window=0.0, updater=updater)
+            service = SkycubeService(updater, window=0.0)
             await service.start()
             server = SkycubeServer(service, port=0)
             await server.start()

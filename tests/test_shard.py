@@ -18,14 +18,9 @@ import numpy as np
 import pytest
 
 from repro.data.generator import generate
-from repro.serve.service import Request
+from repro.serve.service import Request, SkycubeService
 from repro.serve.snapshot import ServingSnapshot
-from repro.shard import (
-    NoLiveShardsError,
-    ShardCoordinator,
-    ShardPlan,
-    ShardService,
-)
+from repro.shard import NoLiveShardsError, ShardCoordinator, ShardPlan
 from repro.shard.plan import PARTITIONER_NAMES
 from repro.trace import WORKER_DEATH, JsonlTracer
 from repro.trace.analyze import analyze_file
@@ -184,7 +179,7 @@ class TestChaos:
             coordinator = ShardCoordinator(
                 data, plan, tracer=tracer, auto_respawn=True
             )
-            service = ShardService(coordinator, tracer=tracer)
+            service = SkycubeService(coordinator, tracer=tracer)
             await service.start()
             try:
                 response = await service.submit(
@@ -233,7 +228,7 @@ class TestChaos:
         async def scenario():
             plan = ShardPlan.build(data, 2)
             coordinator = ShardCoordinator(data, plan, auto_respawn=False)
-            service = ShardService(coordinator)
+            service = SkycubeService(coordinator)
             await service.start()
             try:
                 kill_shard(coordinator, 0)
@@ -342,7 +337,7 @@ class TestServiceSurface:
         async def scenario():
             plan = ShardPlan.build(data, 2, partitioner="tree-leaf")
             coordinator = ShardCoordinator(data, plan)
-            service = ShardService(coordinator)
+            service = SkycubeService(coordinator)
             await service.start()
             try:
                 ping = await service.submit(Request(op="ping"))
@@ -376,7 +371,7 @@ class TestServiceSurface:
         async def scenario():
             plan = ShardPlan.build(data, 2)
             coordinator = ShardCoordinator(data, plan)
-            service = ShardService(coordinator, window=0.01, max_batch=32)
+            service = SkycubeService(coordinator, window=0.01, max_batch=32)
             await service.start()
             try:
                 responses = await asyncio.gather(*(
