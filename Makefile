@@ -41,14 +41,15 @@ skylint-timing:
 typecheck:
 	$(PYTHON) -m mypy -p repro.core -p repro.templates -p repro.engine \
 		-p repro.analysis -p repro.serve -p repro.trace -p repro.config \
-		-p repro.shard -m repro.skyline.accelerated
+		-p repro.shard
 
-# Accelerated-backend smoke (mirrors the CI jit-smoke job; needs the
+# Compiled-backend smoke (mirrors the CI jit-smoke job; needs the
 # accel extra: pip install -e .[test,accel]).  Strict numba selection —
 # an unavailable backend FAILS rather than falling back — plus the
 # backend-parity oracle suite and the packed bench with the jit row
-# pinned to numba (bit-identity is asserted before any timing; the 2x
-# speedup floor applies only at full size, not at --quick).
+# pinned to numba (bit-identity with engine=packed is asserted before
+# any timing; the 2x speedup floor applies only at full size, not at
+# --quick).
 jit-smoke:
 	$(PYTHON) -m repro backends
 	$(PYTHON) -m pytest tests/test_kernel_backends.py -q

@@ -13,7 +13,9 @@ Two CI-oriented options (used by the smoke job in
 
 * ``--quick`` shrinks workloads so a bench finishes in well under a
   minute, relaxing magnitude assertions accordingly (direction/shape
-  assertions stay);
+  assertions stay), and writes its tables to a temporary directory
+  unless ``REPRO_RESULTS_DIR`` is set, so quick-size numbers never
+  overwrite the committed full-size ``results/`` tables;
 * ``--executor process`` additionally routes template materialisation
   through the real multicore backend (:mod:`repro.engine.parallel`) and
   asserts it agrees with the serial reference — a cheap end-to-end
@@ -66,6 +68,18 @@ def pytest_addoption(parser):
 def quick(request):
     """True when the CI smoke job asked for tiny workloads."""
     return request.config.getoption("--quick")
+
+
+@pytest.fixture(autouse=True)
+def quick_results_dir(request, tmp_path_factory, monkeypatch):
+    """Under ``--quick``, point ``REPRO_RESULTS_DIR`` at a temporary
+    directory unless the caller already chose one."""
+    if request.config.getoption("--quick") and (
+        "REPRO_RESULTS_DIR" not in os.environ
+    ):
+        monkeypatch.setenv(
+            "REPRO_RESULTS_DIR", str(tmp_path_factory.mktemp("results"))
+        )
 
 
 @pytest.fixture

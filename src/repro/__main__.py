@@ -116,7 +116,6 @@ def cmd_backends(args) -> int:
         print(_json.dumps([
             {
                 "name": probe.name,
-                "device": probe.device,
                 "available": probe.available,
                 "detail": probe.detail,
             }
@@ -126,10 +125,7 @@ def cmd_backends(args) -> int:
     width = max(len(probe.name) for probe in probes)
     for probe in probes:
         status = "available" if probe.available else "unavailable"
-        print(
-            f"{probe.name:<{width}}  {probe.device:<3}  {status:<11}  "
-            f"{probe.detail}"
-        )
+        print(f"{probe.name:<{width}}  {status:<11}  {probe.detail}")
     return 0
 
 
@@ -237,6 +233,41 @@ def cmd_serve(args) -> int:
         raise SystemExit(
             "--live maintains the full cube; drop --max-level "
             "(or [serve] max_level)"
+        )
+    # Knobs the chosen tier never reads fail here rather than being
+    # dropped.  [engine] keys also steer build_run, so only the flags
+    # count against --snapshot and --live.
+    build_flags = args.engine is not None or args.backend is not None
+    if args.snapshot and max_level is not None:
+        raise SystemExit(
+            "--snapshot serves the saved cube as built; drop --max-level "
+            "(or [serve] max_level)"
+        )
+    if args.snapshot and build_flags:
+        raise SystemExit(
+            "--snapshot serves the saved cube as built; drop "
+            "--engine/--backend"
+        )
+    if live and build_flags:
+        raise SystemExit(
+            "--live bootstraps the maintainer's own packed sweep; drop "
+            "--engine/--backend"
+        )
+    if not live and (
+        args.compact_every is not None
+        or profile.serve.compact_every != DEFAULT_PROFILE.serve.compact_every
+    ):
+        raise SystemExit(
+            "--compact-every only applies with --live; drop "
+            "--compact-every (or [serve] compact_every)"
+        )
+    if shards == 0 and (
+        args.partitioner is not None
+        or profile.shard.partitioner != DEFAULT_PROFILE.shard.partitioner
+    ):
+        raise SystemExit(
+            "--partitioner only applies with --shards; drop "
+            "--partitioner (or [shard] partitioner)"
         )
 
     data = _load(args.dataset)

@@ -197,20 +197,31 @@ def _executor(value: Any) -> Optional[str]:
     return f"must be one of {', '.join(EXECUTORS)}; got {value!r}"
 
 
+def _choice(value: Any, choices: Tuple[str, ...], default: str) -> Optional[str]:
+    """Membership check whose message suggests the closest choice.
+
+    A value close to no choice (a retired one, say) is pointed at
+    ``default``, the choice that replaced it.
+    """
+    if value in choices:
+        return None
+    matches = difflib.get_close_matches(value, choices, n=1) or [default]
+    return (
+        f"must be one of {', '.join(choices)}; got {value!r} "
+        f"(did you mean {matches[0]!r}?)"
+    )
+
+
 def _engine(value: Any) -> Optional[str]:
     from repro.engine.kernels import SKYCUBE_ENGINES
 
-    if value in SKYCUBE_ENGINES:
-        return None
-    return f"must be one of {', '.join(SKYCUBE_ENGINES)}; got {value!r}"
+    return _choice(value, SKYCUBE_ENGINES, "packed")
 
 
 def _backend(value: Any) -> Optional[str]:
     from repro.engine.jit import BACKEND_CHOICES
 
-    if value in BACKEND_CHOICES:
-        return None
-    return f"must be one of {', '.join(BACKEND_CHOICES)}; got {value!r}"
+    return _choice(value, BACKEND_CHOICES, "numpy")
 
 
 def _partitioner(value: Any) -> Optional[str]:

@@ -199,6 +199,10 @@ class PairCoder:
     ``codes`` call — consume (or copy) it before calling again.
     """
 
+    #: Widest rows a code covers: ``le`` and ``eq`` take ``d`` bits each
+    #: of a 32-bit code.
+    MAX_D = 16
+
     def __init__(self, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] == 0:
@@ -206,9 +210,10 @@ class PairCoder:
                 f"expected a non-empty 2-D array, got shape {rows.shape}"
             )
         n, d = rows.shape
-        if d > 16:
+        if d > self.MAX_D:
             raise ValueError(
-                f"PairCoder packs codes into 32 bits (d <= 16), got d={d}"
+                f"PairCoder packs codes into 32 bits (d <= {self.MAX_D}), "
+                f"got d={d}"
             )
         self.n = n
         self.d = d

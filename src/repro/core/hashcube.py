@@ -186,71 +186,6 @@ class HashCube:
             words.append((word_index, word))
         return stored_mask, words
 
-    def insert_batch(self, items: Iterable[Tuple[int, int]]) -> int:
-        """Batch-merge ``(point_id, mask)`` pairs; returns the count.
-
-        The parent-side merge of MDMC's process backend: workers ship
-        raw ``B_{p∉S}`` masks and the owning process folds them in
-        here.  Because a worker result crosses a process boundary, the
-        whole batch is validated *before* anything is merged — a
-        malformed item (mask wider than ``2**d - 1`` bits, a negative
-        or non-integral id, an id repeated within the batch or already
-        stored) raises :class:`ValueError` and leaves the cube
-        untouched, rather than half-merging a corrupt result.
-
-        Distinct masks are decomposed into stored words once (there are
-        typically far fewer distinct masks than points), so a batch
-        costs one dict probe plus the appends per point instead of a
-        full permute-and-split.
-        """
-        if self._shares_tables:
-            raise ValueError(
-                "this HashCube shares storage with another snapshot "
-                "(copy-on-write); derive a new version via with_updates "
-                "or build a fresh cube instead of inserting in place"
-            )
-        word_cache: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
-        checked: List[Tuple[int, int, List[Tuple[int, int]]]] = []
-        batch_ids: Set[int] = set()
-        mask_bound = 1 << self.num_subspaces
-        for point_id, mask in items:
-            try:
-                point_id = _as_int(point_id)
-            except TypeError:
-                raise ValueError(
-                    f"point id {point_id!r} is not an integer"
-                ) from None
-            if point_id < 0:
-                raise ValueError(f"point id {point_id} is negative")
-            if point_id in batch_ids:
-                raise ValueError(
-                    f"duplicate point id {point_id} in batch; every "
-                    "S+ point contributes exactly one B_{p∉S} mask"
-                )
-            if point_id in self._inserted_ids:
-                raise ValueError(
-                    f"point id {point_id} is already stored in this "
-                    "HashCube; merging it again would double-count it"
-                )
-            batch_ids.add(point_id)
-            cached = word_cache.get(mask)
-            if cached is None:
-                if not 0 <= mask < mask_bound:
-                    raise ValueError(
-                        f"mask {mask:#x} of point {point_id} out of "
-                        f"range for d={self.d} (expected "
-                        f"{self.num_subspaces} mask bits)"
-                    )
-                cached = self._split_words(mask)
-                word_cache[mask] = cached
-            checked.append((point_id, cached[0], cached[1]))
-        for point_id, stored_mask, words in checked:
-            self._inserted_ids.add(point_id)
-            self._stored_masks[point_id] = stored_mask
-            for word_index, word in words:
-                self._tables[word_index].setdefault(word, []).append(point_id)
-        return len(checked)
-
     @classmethod
     def from_masks(
         cls,
@@ -262,8 +197,8 @@ class HashCube:
     ) -> "HashCube":
         """Bulk constructor over packed uint64 ``B_{p∉S}`` rows.
 
-        The word-splitting analogue of :meth:`insert_batch` for the
-        packed engine: ``mask_rows`` is an ``(n, ceil((2**d - 1)/64))``
+        The bulk form of :meth:`insert` for the packed engine:
+        ``mask_rows`` is an ``(n, ceil((2**d - 1)/64))``
         ``np.uint64`` array in *numeric* bit order (bit ``δ - 1`` of row
         ``i`` at word ``(δ-1) // 64``, bit ``(δ-1) % 64``); permutation
         into ``bit_order="level"`` storage happens here.  Distinct rows

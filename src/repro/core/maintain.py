@@ -16,10 +16,10 @@ and only for the points it beat there, streaming first the survivors
 closest above it (the filter/refine split of MDMC, applied to one
 removal).
 
-For ``d <= PACKED_MAX_D`` the maintainer stores state in the packed
-uint64 representation of :mod:`repro.engine.packed` — a capacity-
-doubling coordinate matrix, one ``(n, words)`` mask-row array, and a
-liveness bitmap — and mutations become *delta sweeps*
+The maintainer stores state in the packed uint64 representation of
+:mod:`repro.engine.packed` — a capacity-doubling coordinate matrix, one
+``(n, words)`` mask-row array, and a liveness bitmap — for every ``d``
+the engine accepts, and mutations become *delta sweeps*
 (:mod:`repro.engine.delta`): a static-tree prefilter bounds the
 affected set without touching coordinates, a single vectorised
 comparison prunes it exactly, and only the affected rows' closure
@@ -28,8 +28,6 @@ contributions are folded (insert) or re-verified (delete).
 report the exact mask movement (:class:`MaskDelta`) so downstream
 consumers — copy-on-write ``HashCube.with_updates`` publishes,
 per-version changelogs — can update in O(affected) instead of O(n).
-Beyond ``PACKED_MAX_D`` the original list/dict big-int path is kept as
-a correctness fallback.
 
 :class:`SkycubeMaintainer` keeps the masks exact at every step;
 `skycube()` materialises the current state as a HashCube-backed
@@ -39,20 +37,11 @@ a correctness fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.bitmask import full_space
-from repro.core.closures import SubspaceClosures
 from repro.core.hashcube import HashCube
 from repro.core.skycube import Skycube
 from repro.instrument.counters import Counters
@@ -97,8 +86,6 @@ class SkycubeMaintainer:
         d: Optional[int] = None,
         counters: Optional[Counters] = None,
     ) -> None:
-        if data is None and d is None:
-            raise ValueError("provide initial data or a dimensionality")
         if data is not None:
             data = np.asarray(data, dtype=np.float64)
             if data.ndim != 2:
@@ -108,35 +95,30 @@ class SkycubeMaintainer:
             if d is not None and d != data.shape[1]:
                 raise ValueError(f"d={d} conflicts with data shape {data.shape}")
             d = data.shape[1]
+        elif d is None:
+            raise ValueError("provide initial data or a dimensionality")
         # Local import: repro.engine builds on repro.core, so the
         # kernels cannot be imported at module load without a cycle.
-        from repro.engine.packed import PACKED_MAX_D, closure_table, words_for
+        from repro.engine.packed import check_d, relevant_row, words_for
 
+        check_d(d)
         self.d = d
         self.counters = counters if counters is not None else Counters()
-        self._closures = SubspaceClosures(d)
         self._weights = (1 << np.arange(d, dtype=np.int64))
         self._next_id = 0
-        self._packed = d <= PACKED_MAX_D
-        if self._packed:
-            self._table = closure_table(d)
-            self._words = words_for(d)
-            cap = _MIN_CAPACITY if data is None else max(
-                _MIN_CAPACITY, len(data)
-            )
-            self._matrix = np.zeros((cap, d), dtype=np.float64)
-            self._mask_rows = np.zeros((cap, self._words), dtype=np.uint64)
-            self._row_ids = np.zeros(cap, dtype=np.int64)
-            self._live = np.zeros(cap, dtype=bool)
-            self._count = 0
-            self._n_live = 0
-            self._pos: Dict[int, int] = {}
-            # Affected-point prefilter, built lazily past min size.
-            self._index: Optional["DeltaIndex"] = None
-        else:  # big-int fallback beyond the packed engine's reach
-            self._rows: List[np.ndarray] = []
-            self._ids: List[int] = []
-            self._masks: Dict[int, int] = {}
+        self._words = words_for(d)
+        #: closure(all dimensions): every subspace bit.
+        self._all_bits = relevant_row(d, None)
+        cap = _MIN_CAPACITY if data is None else max(_MIN_CAPACITY, len(data))
+        self._matrix = np.zeros((cap, d), dtype=np.float64)
+        self._mask_rows = np.zeros((cap, self._words), dtype=np.uint64)
+        self._row_ids = np.zeros(cap, dtype=np.int64)
+        self._live = np.zeros(cap, dtype=bool)
+        self._count = 0
+        self._n_live = 0
+        self._pos: Dict[int, int] = {}
+        # Affected-point prefilter, built lazily past min size.
+        self._index: Optional["DeltaIndex"] = None
         if data is not None and len(data):
             self._bulk_load(data)
 
@@ -154,41 +136,22 @@ class SkycubeMaintainer:
         dominator is itself dominated by an ``S+`` point.
         """
         from repro.engine.kernels import fast_extended_skyline
+        from repro.engine.packed import packed_point_masks
 
-        if self._packed:
-            from repro.engine.packed import packed_point_masks, relevant_row
-
-            n = len(data)
-            self._ensure_room(n)
-            self._matrix[:n] = data
-            self._row_ids[:n] = np.arange(n)
-            self._live[:n] = True
-            self._count = n
-            self._n_live = n
-            self._pos = {i: i for i in range(n)}
-            self._next_id = n
-            self._mask_rows[:n] = relevant_row(self.d, None)
-            splus = fast_extended_skyline(data)
-            self._mask_rows[splus] = packed_point_masks(
-                data[splus], table=self._table
-            )
-            self.counters.dominance_tests += len(splus) * len(splus)
-            self._maintain_structures()
-            return
-
-        from repro.core.dominance import dominance_masks_vs_all
-
-        self._rows = [np.array(row) for row in data]
-        self._ids = list(range(len(data)))
-        self._next_id = len(data)
-        full_mask = (1 << full_space(self.d)) - 1
-        self._masks = {pid: full_mask for pid in self._ids}
+        n = len(data)
+        self._ensure_room(n)
+        self._matrix[:n] = data
+        self._row_ids[:n] = np.arange(n)
+        self._live[:n] = True
+        self._count = n
+        self._n_live = n
+        self._pos = {i: i for i in range(n)}
+        self._next_id = n
+        self._mask_rows[:n] = self._all_bits
         splus = fast_extended_skyline(data)
-        rows = data[splus]
-        for j, pid in enumerate(splus.tolist()):
-            le, _, eq = dominance_masks_vs_all(rows, rows[j])
-            self.counters.dominance_tests += len(rows)
-            self._masks[pid] = self._fold_pairs(le, eq)
+        self._mask_rows[splus] = packed_point_masks(data[splus])
+        self.counters.dominance_tests += len(splus) * len(splus)
+        self._maintain_structures()
 
     # -- packed storage -------------------------------------------------
 
@@ -303,8 +266,6 @@ class SkycubeMaintainer:
         affected set — never a full recompute.
         """
         point = self._check_point(point)
-        if not self._packed:
-            return self._insert_legacy(point)
         from repro.engine.delta import contribution_rows, fold_codes
         from repro.engine.packed import row_to_int
 
@@ -324,9 +285,7 @@ class SkycubeMaintainer:
             block = self._matrix[dominators]
             lt = (block < point) @ weights
             eq = (block == point) @ weights
-            own = fold_codes(
-                (lt + eq) | (eq << self.d), self.d, self._table
-            )
+            own = fold_codes((lt + eq) | (eq << self.d), self.d)
             self.counters.dominance_tests += len(dominators)
 
         # ...and its contribution to the points it strictly beats.
@@ -355,7 +314,7 @@ class SkycubeMaintainer:
                 rows = block[beaten]
                 ge = (rows >= point) @ weights
                 eqv = (rows == point) @ weights
-                add = contribution_rows(ge, eqv, self.d, self._table)
+                add = contribution_rows(ge, eqv, self.d)
                 old = self._mask_rows[victims]
                 new = old | add
                 moved = (new != old).any(axis=1)
@@ -383,8 +342,6 @@ class SkycubeMaintainer:
         Only the mask bits the removed point could have owned are
         re-tested (:meth:`_lost_bits`); every other mask stays as is.
         """
-        if not self._packed:
-            return self._delete_legacy(point_id)
         from repro.engine.packed import row_to_int
 
         row = self._pos.pop(point_id, None)
@@ -436,12 +393,12 @@ class SkycubeMaintainer:
             np.empty((0, self._words), dtype=np.uint64),
         )
         weights = self._weights
-        uncovered = self._table[-1]  # closure(all dims): every subspace
+        uncovered = self._all_bits
         recoverers = self._dominator_rows(point)
         if len(recoverers):
             le = (self._matrix[recoverers] <= point) @ weights
             self.counters.dominance_tests += len(recoverers)
-            uncovered = uncovered & ~delta.fold_codes(le, self.d, self._table)
+            uncovered = uncovered & ~delta.fold_codes(le, self.d)
         if not uncovered.any():
             return nothing
         candidates = self._victim_rows(point)
@@ -451,9 +408,7 @@ class SkycubeMaintainer:
         rows = block[beaten]
         ge = (rows >= point) @ weights
         eq = (rows == point) @ weights
-        open_bits = (
-            delta.contribution_rows(ge, eq, self.d, self._table) & uncovered
-        )
+        open_bits = delta.contribution_rows(ge, eq, self.d) & uncovered
         is_open = open_bits.any(axis=1)
         if not is_open.any():
             return nothing
@@ -465,231 +420,66 @@ class SkycubeMaintainer:
         in_skyline = (~self._mask_rows[live] & reach).any(axis=1)
         lost = delta.recompute_rows(
             self._matrix, victims, live[in_skyline], point, open_bits,
-            table=self._table, counters=self.counters,
+            counters=self.counters,
         )
         moved = lost.any(axis=1)
         return victims[moved], lost[moved]
 
-    # -- legacy (d > PACKED_MAX_D) update paths -------------------------
-
-    def _insert_legacy(self, point: np.ndarray) -> Tuple[int, MaskDelta]:
-        point_id = self._next_id
-        self._next_id += 1
-        changed: Dict[int, int] = {}
-        previous: Dict[int, int] = {}
-
-        if self._rows:
-            existing = np.asarray(self._rows)
-            # Existing points as potential dominators of the new one...
-            lt = (existing < point) @ self._weights
-            eq = (existing == point) @ self._weights
-            self.counters.dominance_tests += len(existing)
-            self._masks[point_id] = self._fold_pairs(lt + eq, eq)
-            # ...and the new point as a dominator of existing ones.
-            gt = (existing > point) @ self._weights
-            ge = gt + eq
-            self.counters.dominance_tests += len(existing)
-            for existing_id, ge_mask, eq_mask in zip(
-                self._ids, ge.tolist(), eq.tolist()
-            ):
-                if ge_mask:
-                    before = self._masks[existing_id]
-                    after = before | self._closures.dominated_update(
-                        ge_mask, eq_mask
-                    )
-                    self.counters.bitmask_ops += 1
-                    if after != before:
-                        previous[existing_id] = before
-                        changed[existing_id] = after
-                        self._masks[existing_id] = after
-        else:
-            self._masks[point_id] = 0
-
-        self._rows.append(point)
-        self._ids.append(point_id)
-        changed[point_id] = self._masks[point_id]
-        return point_id, MaskDelta(changed, (), previous)
-
-    def _delete_legacy(self, point_id: int) -> MaskDelta:
-        try:
-            index = self._ids.index(point_id)
-        except ValueError:
-            raise KeyError(f"unknown point id {point_id}") from None
-        removed = self._rows.pop(index)
-        self._ids.pop(index)
-        changed: Dict[int, int] = {}
-        previous: Dict[int, int] = {point_id: self._masks.pop(point_id)}
-        if not self._rows:
-            return MaskDelta(changed, (point_id,), previous)
-        existing = np.asarray(self._rows)
-        # The removed point contributed dominated-bits to any point it
-        # strictly beat on at least one dimension; recompute exactly
-        # those masks from scratch, in broadcast chunks.
-        positions = np.flatnonzero((existing > removed).any(axis=1))
-        chunk = max(1, (1 << 21) // (len(existing) * self.d))
-        for start in range(0, len(positions), chunk):
-            block = positions[start:start + chunk]
-            points = existing[block]  # rows under recompute, chunk x d
-            lt = (existing[None, :, :] < points[:, None, :]) @ self._weights
-            eq = (existing[None, :, :] == points[:, None, :]) @ self._weights
-            le = lt + eq
-            self.counters.dominance_tests += le.size
-            for row, le_row, eq_row in zip(block.tolist(), le, eq):
-                pid = self._ids[row]
-                before = self._masks[pid]
-                after = self._fold_pairs(le_row, eq_row)
-                if after != before:
-                    previous[pid] = before
-                    changed[pid] = after
-                    self._masks[pid] = after
-        return MaskDelta(changed, (point_id,), previous)
-
-    def _recompute_mask(self, point_id: int) -> int:
-        if self._packed:
-            return self._packed_mask_of(self._pos[point_id], exact=True)
-        index = self._ids.index(point_id)
-        point = self._rows[index]
-        existing = np.asarray(self._rows)
-        lt = (existing < point) @ self._weights
-        eq = (existing == point) @ self._weights
-        self.counters.dominance_tests += len(existing)
-        return self._fold_pairs(lt + eq, eq)
-
-    def _packed_mask_of(self, row: int, exact: bool = False) -> int:
-        """Stored (or, for audits, freshly re-derived) mask of a row."""
-        from repro.engine.delta import fold_codes
-        from repro.engine.packed import row_to_int
-
-        if not exact:
-            return row_to_int(self._mask_rows[row])
-        point = self._matrix[row]
-        block = self._matrix[self._live_rows()]
-        lt = (block < point) @ self._weights
-        eq = (block == point) @ self._weights
-        self.counters.dominance_tests += len(block)
-        return row_to_int(
-            fold_codes((lt + eq) | (eq << self.d), self.d, self._table)
-        )
-
-    def _fold_pairs(self, le: np.ndarray, eq: np.ndarray) -> int:
-        """OR the closure contributions of the distinct (le, eq) pairs.
-
-        Encoding the pair into one integer lets ``np.unique`` do the
-        dedup in C; the closure cache then sees each pair once.
-        """
-        pairs: Iterable[Tuple[int, int]]
-        if 2 * self.d < 63:
-            pair_mask = (1 << self.d) - 1
-            pairs = (
-                (combined >> self.d, combined & pair_mask)
-                for combined in np.unique((le << self.d) | eq).tolist()
-            )
-        else:  # packing would overflow int64; dedup in python instead
-            pairs = set(zip(le.tolist(), eq.tolist()))
-        mask = 0
-        for le_mask, eq_mask in pairs:
-            if le_mask:
-                mask |= self._closures.dominated_update(le_mask, eq_mask)
-                self.counters.bitmask_ops += 1
-        return mask
-
     # -- views ------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._packed:
-            return self._n_live
-        return len(self._ids)
+        return self._n_live
 
     def membership_mask(self, point_id: int) -> int:
         """Current exact ``B_{p∉S}`` of a live point."""
-        if self._packed:
-            return self._packed_mask_of(self._pos[point_id])
-        return self._masks[point_id]
+        from repro.engine.packed import row_to_int
+
+        return row_to_int(self._mask_rows[self._pos[point_id]])
 
     def point(self, point_id: int) -> np.ndarray:
         """The coordinates of a live point (copy)."""
-        if self._packed:
-            try:
-                row = self._pos[point_id]
-            except KeyError:
-                raise KeyError(f"unknown point id {point_id}") from None
-            return self._matrix[row].copy()
         try:
-            index = self._ids.index(point_id)
-        except ValueError:
+            row = self._pos[point_id]
+        except KeyError:
             raise KeyError(f"unknown point id {point_id}") from None
-        return self._rows[index].copy()
+        return self._matrix[row].copy()
 
     def points(self) -> "Dict[int, np.ndarray]":
         """``{id: coordinates}`` of every live point."""
-        if self._packed:
-            return {
-                pid: self._matrix[row].copy()
-                for pid, row in self._pos.items()
-            }
         return {
-            pid: row.copy() for pid, row in zip(self._ids, self._rows)
+            pid: self._matrix[row].copy() for pid, row in self._pos.items()
         }
 
-    def snapshot_arrays(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def snapshot_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, coordinates, packed mask rows)`` of the live set.
 
         One id-sorted aligned copy of the maintainer's state, in the
         exact shape the serving bootstrap needs: ids feed
         :meth:`repro.core.hashcube.HashCube.from_masks` together with
         the packed mask rows, the coordinate matrix becomes the
-        snapshot's data array.  The mask rows are ``None`` on the
-        legacy (``d > PACKED_MAX_D``) path, where masks only exist as
-        big ints — callers fall back to per-mask insertion there.
+        snapshot's data array.
         """
-        if self._packed:
-            live = self._live_rows()
-            ids = self._row_ids[live]
-            order = np.argsort(ids)
-            rows = live[order]
-            return (
-                np.ascontiguousarray(ids[order]),
-                self._matrix[rows].copy(),
-                self._mask_rows[rows].copy(),
-            )
-        order = sorted(range(len(self._ids)), key=lambda i: self._ids[i])
-        ids = np.asarray([self._ids[i] for i in order], dtype=np.int64)
-        if order:
-            data = np.stack([self._rows[i] for i in order])
-        else:
-            data = np.empty((0, self.d), dtype=np.float64)
-        return ids, data, None
+        live = self._live_rows()
+        ids = self._row_ids[live]
+        order = np.argsort(ids)
+        rows = live[order]
+        return (
+            np.ascontiguousarray(ids[order]),
+            self._matrix[rows].copy(),
+            self._mask_rows[rows].copy(),
+        )
 
     def skyline(self, delta: int) -> List[int]:
         """Current ``S_δ`` ids without materialising the whole cube."""
         if not 0 < delta <= full_space(self.d):
             raise KeyError(f"invalid subspace {delta} for d={self.d}")
-        if self._packed:
-            word, bit = divmod(delta - 1, 64)
-            probe = np.uint64(1 << bit)
-            live = self._live_rows()
-            in_skyline = (self._mask_rows[live, word] & probe) == 0
-            return sorted(
-                int(pid) for pid in self._row_ids[live[in_skyline]]
-            )
-        bit = 1 << (delta - 1)
-        return sorted(
-            pid for pid, mask in self._masks.items() if not mask & bit
-        )
+        word, bit = divmod(delta - 1, 64)
+        probe = np.uint64(1 << bit)
+        live = self._live_rows()
+        in_skyline = (self._mask_rows[live, word] & probe) == 0
+        return sorted(int(pid) for pid in self._row_ids[live[in_skyline]])
 
     def skycube(self, word_width: int = HashCube.DEFAULT_WORD_WIDTH) -> Skycube:
         """Materialise the current state as a HashCube-backed skycube."""
-        if self._packed:
-            ids, _, mask_rows = self.snapshot_arrays()
-            assert mask_rows is not None  # always present on the packed path
-            return Skycube(
-                HashCube.from_masks(self.d, ids, mask_rows, word_width)
-            )
-        cube = HashCube(self.d, word_width)
-        for pid in sorted(self._masks):
-            cube.insert(pid, self._masks[pid])
-        # Ids are stable across deletions and need not be dense, so no
-        # row array is attached (point lookups go through the caller).
-        return Skycube(cube)
+        ids, _, mask_rows = self.snapshot_arrays()
+        return Skycube(HashCube.from_masks(self.d, ids, mask_rows, word_width))

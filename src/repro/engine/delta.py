@@ -23,12 +23,13 @@ representation of :mod:`repro.engine.packed`:
   the survivors to the true affected set.
 
 * fold helpers — the delta analogues of the
-  :class:`~repro.engine.packed.PackedSweep` refine phase.
+  :class:`~repro.engine.packed.PackedSweep` refine phase, on the same
+  closure rows (:func:`~repro.engine.packed.code_rows`).
   :func:`fold_codes` folds the distinct ``le + (eq << d)`` codes of
   "everyone versus the new point" into the new point's own packed
   ``B_{p∉S}`` row; :func:`contribution_rows` gathers the closure
   contribution of the *one* mutation point against each affected row
-  (deduplicated, one table gather per distinct pair).
+  (deduplicated, one closure row pair per distinct pair).
 
 * :func:`recompute_rows` — the delete-side re-verify.  A delete can
   only clear bits the removed point owned, so only those *open* bits
@@ -41,7 +42,7 @@ representation of :mod:`repro.engine.packed`:
 Everything here is bit-identical to a full recompute by construction:
 the index only ever *excludes* provably-unaffected points, the
 re-verify only ever clears bits no survivor covers, and the folds
-reuse the exact closure table the batch engines use.
+reuse the exact closure rows the batch engines use.
 """
 
 from __future__ import annotations
@@ -51,11 +52,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.dominance import dominance_pair_codes
-from repro.engine.packed import (
-    PackedSweep,
-    closure_table,
-    words_for,
-)
+from repro.engine.packed import PackedSweep, code_rows, words_for
 from repro.instrument.counters import Counters
 from repro.partitioning.static_tree import StaticTree
 
@@ -76,12 +73,9 @@ def fold_codes(codes: np.ndarray, d: int, table: Optional[np.ndarray] = None) ->
     the whole lattice) and the contributions OR into one row.  An empty
     code array folds to the all-zero row (no dominators anywhere).
     """
-    table = closure_table(d) if table is None else table
     if len(codes) == 0:
         return np.zeros(words_for(d), dtype=np.uint64)
-    unique = np.unique(codes)
-    low = (1 << d) - 1
-    contributions = table[unique & low] & ~table[unique >> d]
+    contributions = code_rows(np.unique(codes), d, table)
     return np.bitwise_or.reduce(contributions, axis=0)
 
 
@@ -98,15 +92,13 @@ def contribution_rows(
     is ``<=`` on dimension ``j``).  Returns an ``(len(ge), words)``
     uint64 array whose row ``i`` is ``closure(ge[i]) & ~closure(eq[i])``
     — the bits the mutation point adds to row ``i``'s mask.  Distinct
-    ``(ge, eq)`` pairs are gathered from the closure table exactly once
-    (the duplicate-mask skipping of the batch sweep, applied to the
+    ``(ge, eq)`` pairs get their closure rows exactly once (the
+    duplicate-mask skipping of the batch sweep, applied to the
     one-point case).
     """
-    table = closure_table(d) if table is None else table
     codes = ge | (eq << d)
     unique, inverse = np.unique(codes, return_inverse=True)
-    low = (1 << d) - 1
-    contributions = table[unique & low] & ~table[unique >> d]
+    contributions = code_rows(unique, d, table)
     return contributions[np.asarray(inverse).ravel()]
 
 
@@ -160,8 +152,6 @@ def recompute_rows(
     pair comparisons actually made.
     """
     d = matrix.shape[1]
-    table = closure_table(d) if table is None else table
-    low = (1 << d) - 1
     lost = np.array(open_bits, dtype=np.uint64)
     pending = np.arange(len(rows))
     pool = np.zeros(len(matrix), dtype=bool)
@@ -184,9 +174,7 @@ def recompute_rows(
         start += len(chunk)
         codes = dominance_pair_codes(chunk, matrix[rows[pending]])
         tests += codes.size
-        cover = np.bitwise_or.reduce(
-            table[codes & low] & ~table[codes >> d], axis=1
-        )
+        cover = np.bitwise_or.reduce(code_rows(codes, d, table), axis=1)
         left = lost[pending] & ~cover
         lost[pending] = left
         pending = pending[left.any(axis=1)]

@@ -1,9 +1,9 @@
-"""Optional accelerated kernel backends behind one protocol.
+"""Optional compiled kernel backends behind one protocol.
 
 See :mod:`repro.engine.jit.base` for the protocol and
 :mod:`repro.engine.jit.registry` for probing/selection.  Importing this
-package never imports numba or cupy — the accelerated modules load
-lazily, after their availability probe succeeds.
+package never imports numba — the compiled module loads lazily, after
+its availability probe succeeds.
 """
 
 from repro.engine.jit.base import (
@@ -17,7 +17,6 @@ from repro.engine.jit.registry import (
     KERNEL_BACKENDS,
     clear_backend_cache,
     get_backend,
-    gpu_backend,
     probe_backends,
     resolve_backend,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "BACKEND_HELP",
     "clear_backend_cache",
     "get_backend",
-    "gpu_backend",
     "probe_backends",
     "resolve_backend",
 ]

@@ -1,18 +1,18 @@
-"""The kernel-backend capability layer: one protocol, many compilers.
+"""The kernel-backend capability layer: one protocol, two compilers.
 
 The packed sweep of :mod:`repro.engine.packed` is already data-parallel
 in shape — per point, fold ``closure[le] & ~closure[eq]`` over every
 distinct comparison pair.  This package specialises that *same*
 computation across compilers: the stdlib+numpy reference (always
-available, the zero-dependency default), a Numba ``@njit(parallel=True)``
-CPU path, and a CuPy ``RawKernel`` CUDA path.  A
-:class:`KernelBackend` bundles everything a caller needs:
+available, the zero-dependency default) and a Numba
+``@njit(parallel=True)`` CPU path.  A :class:`KernelBackend` bundles
+everything a caller needs:
 
-* **probing** — :meth:`~KernelBackend.availability` answers "can this
-  backend actually run here?" without importing heavyweight modules at
-  package-import time (the accelerated modules are only imported after
-  their probe succeeds — skylint's SKY701 enforces that no module
-  outside ``repro.engine.jit`` imports ``numba``/``cupy`` at top
+* **probing** — :func:`~repro.engine.jit.registry.probe_backends`
+  answers "can this backend actually run here?" without importing
+  heavyweight modules at package-import time (the compiled module is
+  only imported after its probe succeeds — skylint's SKY701 enforces
+  that no module outside ``repro.engine.jit`` imports ``numba`` at top
   level);
 * **sweeps** — :meth:`~KernelBackend.point_masks` and
   :meth:`~KernelBackend.filtered_point_masks` produce the packed
@@ -20,8 +20,7 @@ CPU path, and a CuPy ``RawKernel`` CUDA path.  A
   comparison codes and closure folds are integer bit operations on the
   same rank encoding, so there is nothing to round);
 * **classification** — :meth:`~KernelBackend.classify` answers the
-  skyline/extended-skyline split directly, which is what the real GPU
-  hook (:class:`repro.skyline.accelerated.KernelSkyline`) builds on.
+  skyline/extended-skyline split directly.
 
 Selection and fallback semantics live in
 :mod:`repro.engine.jit.registry`.
@@ -42,7 +41,6 @@ __all__ = [
     "BackendProbe",
     "BackendUnavailableError",
     "KernelBackend",
-    "PlainFilteredAdapter",
 ]
 
 
@@ -50,13 +48,11 @@ __all__ = [
 class BackendProbe:
     """Outcome of one runtime availability check.
 
-    ``detail`` is human-readable either way: the compiler version (and
-    device count, for CUDA backends) when available, the failure reason
-    plus the install hint when not.
+    ``detail`` is human-readable either way: the compiler version when
+    available, the failure reason plus the install hint when not.
     """
 
     name: str
-    device: str
     available: bool
     detail: str
 
@@ -65,9 +61,8 @@ class BackendUnavailableError(RuntimeError):
     """A requested kernel backend cannot run in this environment.
 
     Raised on *strict* resolution (an explicit ``--backend`` on a CI
-    gate, or ``default_hook("gpu")`` without ``simulate=True``); the
-    graceful path degrades to numpy instead.  The message always names
-    the missing extra so the fix is one pip command away.
+    gate); the graceful path degrades to numpy instead.  The message
+    always names the missing extra so the fix is one pip command away.
     """
 
     def __init__(self, name: str, reason: str, hint: str) -> None:
@@ -83,54 +78,14 @@ class BackendUnavailableError(RuntimeError):
 class KernelBackend(ABC):
     """One compiled implementation of the packed-sweep primitives.
 
-    Subclasses bind a compiler (numpy, numba, cupy) to the three
-    operations the engines need; everything else — leaf ordering for
-    the filtered sweep, block bookkeeping — is shared here so the
-    backends stay small and provably equivalent.
+    Subclasses bind a compiler (numpy, numba) to the operations the
+    engines need; everything else — leaf ordering for the filtered
+    sweep, block bookkeeping — is shared here so the backends stay
+    small and provably equivalent.
     """
 
-    #: Registry key (``"numpy"`` / ``"numba"`` / ``"cupy"``).
+    #: Registry key (``"numpy"`` / ``"numba"``).
     name: str = "abstract"
-    #: Device class the backend executes on (``"cpu"`` or ``"gpu"``);
-    #: ``repro.skyline.registry.default_hook`` matches architectures
-    #: against this.
-    device: str = "cpu"
-    #: Human install hint named by :class:`BackendUnavailableError`.
-    requires: str = ""
-
-    def __init__(self) -> None:
-        self._probe_result: Optional[BackendProbe] = None
-
-    # -- availability --------------------------------------------------
-
-    @abstractmethod
-    def _probe(self) -> str:
-        """Return a human detail string, or raise why the probe failed."""
-
-    def availability(self, refresh: bool = False) -> BackendProbe:
-        """Cached runtime probe; ``refresh=True`` re-checks imports."""
-        if self._probe_result is None or refresh:
-            try:
-                detail = self._probe()
-            except Exception as exc:  # any import/driver failure counts
-                detail = f"{exc} ({self.requires})" if self.requires else str(exc)
-                self._probe_result = BackendProbe(
-                    self.name, self.device, False, detail
-                )
-            else:
-                self._probe_result = BackendProbe(
-                    self.name, self.device, True, detail
-                )
-        return self._probe_result
-
-    def require(self) -> "KernelBackend":
-        """Self if available, else :class:`BackendUnavailableError`."""
-        probe = self.availability()
-        if not probe.available:
-            raise BackendUnavailableError(
-                self.name, probe.detail, self.requires or "no install hint"
-            )
-        return self
 
     # -- tuning --------------------------------------------------------
 
@@ -138,11 +93,12 @@ class KernelBackend(ABC):
         """Rows per sweep block when the caller does not pin one.
 
         The numpy sweep wants small blocks (its presence table must
-        stay cache-resident); compiled backends amortise launch and
-        label-batch overheads over larger ones.  ``REPRO_KERNEL_BLOCK``
-        and the ``block=`` keyword still override this.
+        stay cache-resident, and above the dense table's ``d`` its
+        gathered closure rows small); compiled backends amortise launch
+        and label-batch overheads over larger ones.  The ``block=``
+        keyword still overrides this.
         """
-        return packed.DEFAULT_BLOCK
+        return packed.default_block(d)
 
     # -- sweep factories ----------------------------------------------
 
@@ -172,9 +128,7 @@ class KernelBackend(ABC):
         """The label-filtered counterpart over *leaf-ordered* rows.
 
         Additionally exposes ``counters`` (pruning tallies) and
-        ``filter_active``; backends without a profitable filter phase
-        may return a :class:`PlainFilteredAdapter` — skipping the
-        filter only costs speed, never bits.
+        ``filter_active``.
         """
 
     # -- whole-input conveniences --------------------------------------
@@ -226,28 +180,4 @@ class KernelBackend(ABC):
         """
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r}, device={self.device!r})"
-
-
-class PlainFilteredAdapter:
-    """A plain sweep wearing the filtered-sweep interface.
-
-    Backends whose sweep cannot profit from the label filter (the CuPy
-    fold is idempotent and dedup-free, so skipping leaves saves it
-    nothing) still need the ``counters``/``filter_active`` surface the
-    process workers read.  Correctness is untouched: the filter only
-    ever removes provably redundant pair work.
-    """
-
-    def __init__(self, sweep: Any, counters: Optional[Counters] = None) -> None:
-        self._sweep = sweep
-        self.counters = counters if counters is not None else Counters()
-        self.filter_active = False
-        self.n = sweep.n
-        self.d = sweep.d
-
-    def masks(self, start: int, end: int) -> np.ndarray:
-        return self._sweep.masks(start, end)
-
-    def range_masks(self, start: int, end: int) -> np.ndarray:
-        return self._sweep.range_masks(start, end)
+        return f"{type(self).__name__}(name={self.name!r})"

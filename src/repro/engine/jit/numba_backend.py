@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-import numba
 import numpy as np
 from numba import njit, prange
 
@@ -239,7 +238,8 @@ def _validated_rows(rows: np.ndarray) -> np.ndarray:
     d = rows.shape[1]
     if not 1 <= d <= packed.PACKED_MAX_D:
         raise ValueError(
-            f"packed engine supports d in [1, {packed.PACKED_MAX_D}], got {d}"
+            f"the numba kernels index the dense closure table, so they "
+            f"support d in [1, {packed.PACKED_MAX_D}], got {d}"
         )
     return rows
 
@@ -378,14 +378,6 @@ class NumbaBackend(KernelBackend):
     """``@njit(parallel=True, cache=True)`` CPU kernels (the ``accel`` extra)."""
 
     name = "numba"
-    device = "cpu"
-    requires = "install the accel extra: pip install 'repro[accel]'"
-
-    def _probe(self) -> str:
-        return (
-            f"numba {numba.__version__} "
-            "(@njit parallel CPU kernels, compiled lazily on first sweep)"
-        )
 
     def preferred_block(self, d: int) -> int:
         return _NUMBA_BLOCK

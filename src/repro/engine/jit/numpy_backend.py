@@ -29,11 +29,6 @@ class NumpyBackend(KernelBackend):
     """The zero-dependency default; delegates to :mod:`repro.engine.packed`."""
 
     name = "numpy"
-    device = "cpu"
-    requires = ""  # ships with the package itself
-
-    def _probe(self) -> str:
-        return f"numpy {np.__version__} (built-in default, always available)"
 
     def sweep(
         self,

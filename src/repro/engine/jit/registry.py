@@ -1,19 +1,19 @@
 """Backend selection: probing, strict/graceful resolution, ``auto``.
 
 The registry is deliberately two-stage.  *Probes* are cheap import
-checks that never load the accelerated modules' kernels (a failed
+checks that never load the compiled module's kernels (a failed
 ``import numba`` must cost microseconds, not a traceback deep in a
 sweep); only a successful probe imports the backend module and
 instantiates its :class:`~repro.engine.jit.base.KernelBackend`.  That
 keeps ``import repro`` numpy-only by construction — skylint's SKY701
-pins every top-level ``numba``/``cupy`` import inside this package.
+pins every top-level ``numba`` import inside this package.
 
 Resolution semantics, in one place for every knob that selects a
 backend (``fast_skycube(backend=)``, ``--backend``, ``[engine]
-backend``, ``default_hook("gpu")``):
+backend``):
 
 * ``None`` → numpy (zero behaviour change for existing callers);
-* ``"auto"`` → the fastest available backend (cupy > numba > numpy);
+* ``"auto"`` → the fastest available backend (numba > numpy);
 * an explicit unavailable name → graceful mode warns once per process
   and degrades to numpy (bit-identical, so degradation is safe);
   strict mode raises :class:`~repro.engine.jit.base.
@@ -39,14 +39,13 @@ __all__ = [
     "BACKEND_HELP",
     "clear_backend_cache",
     "get_backend",
-    "gpu_backend",
     "probe_backends",
     "resolve_backend",
 ]
 
 #: The registered backend names, reference first.  The single source of
 #: truth for every ``--backend`` CLI knob and profile validator.
-KERNEL_BACKENDS: Tuple[str, ...] = ("numpy", "numba", "cupy")
+KERNEL_BACKENDS: Tuple[str, ...] = ("numpy", "numba")
 
 #: What selection knobs accept: an explicit backend or ``"auto"``.
 BACKEND_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_BACKENDS
@@ -55,13 +54,13 @@ BACKEND_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_BACKENDS
 BACKEND_HELP = (
     "packed-kernel backend: 'numpy' (stdlib default, always available), "
     "'numba' (@njit parallel CPU kernels, pip install 'repro[accel]'), "
-    "'cupy' (CUDA RawKernel path), or 'auto' (fastest available); all "
-    "backends produce bit-identical results, and an unavailable choice "
-    "degrades gracefully to numpy with a warning"
+    "or 'auto' (fastest available); both backends produce bit-identical "
+    "results, and an unavailable choice degrades gracefully to numpy "
+    "with a warning"
 )
 
 #: ``auto`` preference order among the probed-available backends.
-_AUTO_ORDER: Tuple[str, ...] = ("cupy", "numba", "numpy")
+_AUTO_ORDER: Tuple[str, ...] = ("numba", "numpy")
 
 
 def _probe_numpy() -> str:
@@ -78,21 +77,11 @@ def _probe_numba() -> str:
     return f"numba {numba.__version__} (@njit parallel CPU kernels)"
 
 
-def _probe_cupy() -> str:
-    import cupy
-
-    count = int(cupy.cuda.runtime.getDeviceCount())
-    if count < 1:
-        raise RuntimeError("cupy imports but no CUDA device is visible")
-    return f"cupy {cupy.__version__} ({count} CUDA device(s))"
-
-
 @dataclass(frozen=True)
 class _BackendSpec:
     """How to probe and (on success) load one backend."""
 
     name: str
-    device: str
     requires: str
     module: str
     attribute: str
@@ -102,7 +91,6 @@ class _BackendSpec:
 _SPECS: Dict[str, _BackendSpec] = {
     "numpy": _BackendSpec(
         name="numpy",
-        device="cpu",
         requires="",
         module="repro.engine.jit.numpy_backend",
         attribute="NumpyBackend",
@@ -110,22 +98,10 @@ _SPECS: Dict[str, _BackendSpec] = {
     ),
     "numba": _BackendSpec(
         name="numba",
-        device="cpu",
         requires="install the accel extra: pip install 'repro[accel]'",
         module="repro.engine.jit.numba_backend",
         attribute="NumbaBackend",
         probe=_probe_numba,
-    ),
-    "cupy": _BackendSpec(
-        name="cupy",
-        device="gpu",
-        requires=(
-            "install cupy for your CUDA toolkit (e.g. pip install "
-            "cupy-cuda12x) on a machine with a visible CUDA device"
-        ),
-        module="repro.engine.jit.cupy_backend",
-        attribute="CupyBackend",
-        probe=_probe_cupy,
     ),
 }
 
@@ -163,9 +139,9 @@ def probe_backend(name: str, refresh: bool = False) -> BackendProbe:
             detail = spec.probe()
         except Exception as exc:
             detail = f"{exc}" + (f" — {spec.requires}" if spec.requires else "")
-            probe = BackendProbe(spec.name, spec.device, False, detail)
+            probe = BackendProbe(spec.name, False, detail)
         else:
-            probe = BackendProbe(spec.name, spec.device, True, detail)
+            probe = BackendProbe(spec.name, True, detail)
         _PROBES[name] = probe
     return probe
 
@@ -236,29 +212,3 @@ def resolve_backend(
             stacklevel=2,
         )
     return get_backend("numpy")
-
-
-def gpu_backend() -> KernelBackend:
-    """The first available GPU-device backend; typed error otherwise.
-
-    What ``repro.skyline.registry.default_hook("gpu")`` resolves
-    through: a real accelerated hook when one is importable, the typed
-    :class:`~repro.engine.jit.base.BackendUnavailableError` — naming
-    the missing extra and the ``simulate=True`` escape hatch — when
-    not.
-    """
-    reasons = []
-    for name in KERNEL_BACKENDS:
-        if _SPECS[name].device != "gpu":
-            continue
-        probe = probe_backend(name)
-        if probe.available:
-            return get_backend(name)
-        reasons.append(f"{name}: {probe.detail}")
-    detail = "; ".join(reasons) if reasons else "no GPU backend registered"
-    raise BackendUnavailableError(
-        "gpu",
-        detail,
-        "install a CUDA backend (e.g. pip install cupy-cuda12x), or pass "
-        "simulate=True to default_hook() for the instrumented simulation",
-    )

@@ -8,36 +8,28 @@ analogue of the paper's AVX2 lanes) with no instrumentation, usable at
 tens of thousands of points.  Examples and property tests lean on it;
 results are bit-identical to the reference implementations.
 
-Three skycube engines share the MDMC structure (restrict to ``S+``,
-fold each point's distinct comparison-mask pairs over the lattice):
+Two skycube engines share the MDMC structure (restrict to ``S+``,
+fold each point's distinct comparison-mask pairs over the lattice),
+for every ``d`` up to :data:`repro.engine.packed.MAX_D`:
 
 * ``engine="packed"`` (default) — the array-at-a-time sweep of
-  :mod:`repro.engine.packed`: uint64 closure-table rows, blocked pair
-  dedup, grouped OR folds; no per-point Python loop, no big ints.
+  :mod:`repro.engine.packed`: uint64 closure rows, blocked pair dedup,
+  grouped OR folds; no per-point Python loop, no big ints.
 * ``engine="packed-filtered"`` — the packed sweep with the paper's
   static-tree filter phase fused in (Sections 4.3/5.2): an octant-path
   label prefilter shrinks the exact ``S+`` computation, and the sweep
   itself skips leaves / sets subspace bits from leaf-ordered label
   arrays before touching coordinates.  Bit-identical to ``"packed"``.
-* ``engine="loop"`` — the original per-point sweep over big-int
-  closures; slower, but unbounded by the packed table's ``d`` cap.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.bitmask import dims_of, full_space
-from repro.core.closures import SubspaceClosures
-from repro.core.dominance import (
-    dominance_masks_vs_all,
-    dominance_matrix,
-    dominated_mask,
-    rank_columns,
-)
+from repro.core.dominance import dominance_matrix, dominated_mask, rank_columns
 from repro.core.hashcube import HashCube
 from repro.core.skycube import Skycube
 from repro.engine import packed
@@ -56,23 +48,18 @@ __all__ = [
 
 #: Default rows compared per vectorized block (bounds peak memory to
 #: ``block × |candidates|`` booleans).  Overridable per call via the
-#: ``block`` keyword or globally via ``REPRO_KERNEL_BLOCK`` for bench
-#: tuning.
+#: ``block`` keyword.
 BLOCK = 512
-
-#: Environment override consulted when no ``block`` keyword is given.
-BLOCK_ENV = "REPRO_KERNEL_BLOCK"
 
 #: The point-bitmask engines :func:`fast_skycube` accepts.  This tuple
 #: is the single source of truth for every ``--engine`` CLI knob.
-SKYCUBE_ENGINES = ("packed", "packed-filtered", "loop")
+SKYCUBE_ENGINES = ("packed", "packed-filtered")
 
 #: Shared ``--engine`` help text for the CLI entry points.
 ENGINE_HELP = (
-    "point-bitmask sweep: 'packed' (uint64 array-at-a-time, default), "
+    "point-bitmask sweep: 'packed' (uint64 array-at-a-time, default) or "
     "'packed-filtered' (packed plus the static-tree label filter; "
-    "bit-identical, fastest on clustered/correlated data), or 'loop' "
-    "(per-point big-int reference, required beyond d = 14)"
+    "bit-identical, fastest on clustered/correlated data)"
 )
 
 #: The octant-path prefilter only runs when paths collapse: above this
@@ -85,41 +72,15 @@ PREFILTER_MAX_PATHS = 0.25
 PREFILTER_MIN_ROWS = 512
 
 
-def _env_block() -> Optional[int]:
-    """The validated :data:`BLOCK_ENV` override, or ``None`` if unset.
-
-    Validation happens here, once, naming the variable — a bad value
-    must fail the call immediately rather than crash (or silently
-    misbehave) deep inside a sweep.
-    """
-    env = os.environ.get(BLOCK_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{BLOCK_ENV} must be an integer number of rows, got {env!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{BLOCK_ENV} must be a positive number of rows, got {env!r}"
-        )
-    return value
-
-
 def _block_size(block: Optional[int], default: int = BLOCK) -> int:
-    """Resolve a block size: keyword > environment > ``default``.
+    """Resolve a block size: the keyword, else ``default``.
 
     ``default`` varies by caller — the filter kernels use
     :data:`BLOCK`, the packed sweeps ask the selected kernel backend
-    for its :meth:`~repro.engine.jit.KernelBackend.preferred_block` —
-    and all of them honour the same keyword/env override.
+    for its :meth:`~repro.engine.jit.KernelBackend.preferred_block`.
     """
     if block is None:
-        block = _env_block()
-        if block is None:
-            return default
+        return default
     if block < 1:
         raise ValueError(f"block size must be positive, got {block}")
     return block
@@ -288,40 +249,6 @@ def splus_ids_for_engine(
     return fast_extended_skyline(data, block=block)
 
 
-def _loop_cube(
-    rows: np.ndarray,
-    splus: np.ndarray,
-    d: int,
-    max_level: Optional[int],
-    word_width: int,
-    bit_order: str,
-) -> HashCube:
-    """The original per-point big-int sweep (``engine="loop"``)."""
-    closures = SubspaceClosures(d)
-    unmaterialised = 0
-    if max_level is not None and max_level < d:
-        unmaterialised = packed.row_to_int(
-            packed.unmaterialised_row(d, max_level)
-        )
-    cube = HashCube(d, word_width, bit_order)
-    # Cache of (le, eq) -> dominated-subspace bitset, shared across
-    # points: there are at most 3**d distinct pairs in total.
-    pair_bits: Dict[tuple, int] = {}
-    for j, pid in enumerate(splus):
-        le, _, eq = dominance_masks_vs_all(rows, rows[j])
-        not_in_s = 0
-        for pair in set(zip(le.tolist(), eq.tolist())):
-            if pair[0] == 0:
-                continue
-            bits = pair_bits.get(pair)
-            if bits is None:
-                bits = closures.dominated_update(pair[0], pair[1])
-                pair_bits[pair] = bits
-            not_in_s |= bits
-        cube.insert(int(pid), not_in_s | unmaterialised)
-    return cube
-
-
 def fast_skycube(
     data: np.ndarray,
     max_level: Optional[int] = None,
@@ -336,7 +263,7 @@ def fast_skycube(
 
     Follows MDMC's structure — restrict to ``S+(P)``, compute each
     point's ``B_{p∉S}`` from its distinct comparison-mask pairs, expand
-    over the subspace lattice with memoised closures — but with the
+    over the subspace lattice with closure rows — but with the
     per-point comparisons fully vectorized and no filtering tree.
 
     ``engine`` picks the sweep: ``"packed"`` (default) runs the
@@ -344,18 +271,17 @@ def fast_skycube(
     through :meth:`~repro.core.hashcube.HashCube.from_masks`;
     ``"packed-filtered"`` adds the static-tree label filter in front of
     both phases (see :func:`label_prefilter` and
-    :class:`repro.engine.packed.FilteredPackedSweep`); ``"loop"`` keeps
-    the per-point big-int sweep (required beyond ``d = 14``, where no
-    packed closure table is materialised).  All engines produce
-    bit-identical cubes for either ``bit_order``.
+    :class:`repro.engine.packed.FilteredPackedSweep`).  Both engines
+    produce bit-identical cubes for either ``bit_order`` and every
+    ``d`` up to :data:`repro.engine.packed.MAX_D`; a wider dataset
+    raises :class:`ValueError`.
 
     ``backend`` selects the packed-kernel implementation (any of
     :data:`repro.engine.jit.BACKEND_CHOICES`): ``None``/``"numpy"``
-    keep the stdlib+numpy sweep, ``"numba"``/``"cupy"`` run the
-    compiled kernels of :mod:`repro.engine.jit` when importable (an
-    unavailable backend degrades to numpy with a warning — all
-    backends are bit-identical), ``"auto"`` picks the fastest probed
-    one.  The ``"loop"`` engine is numpy-only.
+    keep the stdlib+numpy sweep, ``"numba"`` runs the compiled kernels
+    of :mod:`repro.engine.jit` when importable (an unavailable backend
+    degrades to numpy with a warning — all backends are bit-identical),
+    ``"auto"`` picks the fastest probed one.
 
     ``counters``, when given, accumulates the filter-effectiveness
     tallies (``pairs_pruned`` / ``leaves_skipped`` / ``label_bytes`` and
@@ -366,39 +292,26 @@ def fast_skycube(
 
     data, _ = _validated(data, None)
     d = data.shape[1]
+    packed.check_d(d)
     if max_level is not None and not 1 <= max_level <= d:
         raise ValueError(f"max_level must be in [1, {d}], got {max_level}")
     if engine not in SKYCUBE_ENGINES:
         raise ValueError(
             f"engine must be one of {SKYCUBE_ENGINES}, got {engine!r}"
         )
-    if engine != "loop" and d > packed.PACKED_MAX_D:
-        raise ValueError(
-            f"engine={engine!r} supports d <= {packed.PACKED_MAX_D}, got "
-            f"d={d}; use engine='loop'"
-        )
-    if engine == "loop" and backend not in (None, "auto", "numpy"):
-        raise ValueError(
-            f"backend={backend!r} applies to the packed engines only; "
-            "engine='loop' is numpy-only (drop backend= or pick a packed "
-            "engine)"
-        )
     splus = splus_ids_for_engine(data, engine, block=block, counters=counters)
     rows = np.ascontiguousarray(data[splus])
-    if engine == "loop":
-        cube = _loop_cube(rows, splus, d, max_level, word_width, bit_order)
-    else:
-        kernel_backend = resolve_backend(backend)
-        sweep_block = _block_size(block, kernel_backend.preferred_block(d))
-        if engine == "packed-filtered":
-            mask_rows = kernel_backend.filtered_point_masks(
-                rows, block=sweep_block, counters=counters
-            )
-        else:
-            mask_rows = kernel_backend.point_masks(rows, block=sweep_block)
-        if max_level is not None and max_level < d:
-            mask_rows |= packed.unmaterialised_row(d, max_level)
-        cube = HashCube.from_masks(
-            d, splus, mask_rows, word_width=word_width, bit_order=bit_order
+    kernel_backend = resolve_backend(backend)
+    sweep_block = _block_size(block, kernel_backend.preferred_block(d))
+    if engine == "packed-filtered":
+        mask_rows = kernel_backend.filtered_point_masks(
+            rows, block=sweep_block, counters=counters
         )
+    else:
+        mask_rows = kernel_backend.point_masks(rows, block=sweep_block)
+    if max_level is not None and max_level < d:
+        mask_rows |= packed.unmaterialised_row(d, max_level)
+    cube = HashCube.from_masks(
+        d, splus, mask_rows, word_width=word_width, bit_order=bit_order
+    )
     return Skycube(cube, data=data, max_level=max_level)

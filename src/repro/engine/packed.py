@@ -1,11 +1,10 @@
 """Packed-bitset point-bitmask engine (the array-at-a-time MDMC sweep).
 
-The loop engine in :mod:`repro.engine.kernels` follows MDMC's structure
-one point at a time: a vectorised comparison against all of ``S+``, a
-Python ``set`` to deduplicate the ``(le, eq)`` mask pairs, and big-int
-ORs over memoised down-closures.  Correct, but the O(n²) pair work runs
-at interpreter speed.  This module removes the per-point loop entirely
-by changing the data representation:
+MDMC's point-at-a-time structure — compare one point against all of
+``S+``, deduplicate its ``(le, eq)`` mask pairs, OR their down-closures
+— runs its O(n²) pair work at interpreter speed when written per
+point.  This module removes the per-point loop entirely by changing the
+data representation:
 
 * **Word layout** — every subspace bitset (a ``2**d - 1`` bit integer
   elsewhere in the library) becomes a row of ``ceil((2**d - 1) / 64)``
@@ -13,11 +12,12 @@ by changing the data representation:
   bit ``(δ-1) % 64``.  Rows OR/AND/invert elementwise, so a whole block
   of points folds in a handful of numpy calls.
 
-* **Closure table** — the full down-closure map of the subspace
-  lattice, the packed analogue of
-  :class:`repro.core.closures.SubspaceClosures`, is one ``(2**d, words)``
-  array built by a vectorised submask DP (see :func:`closure_table`)
-  and cached per ``d``, reusable across runs.
+* **Closure rows** — the down-closure of a mask, the packed analogue
+  of :class:`repro.core.closures.SubspaceClosures`, factors over the
+  lowest six dimensions (see :func:`closure_rows`).  Up to
+  :data:`PACKED_MAX_D` every ``closure(m)`` is gathered from one cached
+  ``(2**d, words)`` table (:func:`closure_table`); above it the rows a
+  request needs are computed for its distinct masks and not kept.
 
 * **Code packing + blocked dedup** — a block of ``b`` points against
   all ``n`` rows of ``S+`` yields ``b × n`` integer codes
@@ -29,15 +29,17 @@ by changing the data representation:
   space is small) replaces ``b`` Python ``set`` constructions.
 
 * **Grouped fold** — each unique pair contributes
-  ``closure[le] & ~closure[eq]`` (Definition 1 over the whole lattice);
-  ``np.bitwise_or.reduceat`` at the block-row boundaries folds the
-  contributions into one packed ``B_{p∉S}`` row per point.  ``le = 0``
-  pairs need no special-casing: row 0 of the table is all zeros.
+  ``closure[le] & ~closure[eq]`` (Definition 1 over the whole lattice,
+  :func:`code_rows`); ``np.bitwise_or.reduceat`` at the block-row
+  boundaries folds the contributions into one packed ``B_{p∉S}`` row
+  per point.  ``le = 0`` pairs need no special-casing: ``closure(0)``
+  is all zeros.
 
-Results are bit-identical to the loop engine and the instrumented MDMC
-reference; :class:`repro.core.hashcube.HashCube.from_masks` consumes
-the mask rows without ever widening them back into Python ints per
-point.
+Results are bit-identical to the per-point ``SubspaceClosures`` fold
+and the instrumented MDMC reference for every ``d`` up to
+:data:`MAX_D`; :class:`repro.core.hashcube.HashCube.from_masks`
+consumes the mask rows without ever widening them back into Python
+ints per point.
 """
 
 from __future__ import annotations
@@ -53,15 +55,20 @@ if TYPE_CHECKING:
     from repro.partitioning.static_tree import LeafLabels
 
 __all__ = [
+    "MAX_D",
     "PACKED_MAX_D",
     "WORD_BITS",
+    "check_d",
     "words_for",
+    "closure_rows",
+    "code_rows",
     "closure_table",
     "relevant_row",
     "unmaterialised_row",
     "row_to_int",
     "rows_to_ints",
     "row_from_int",
+    "default_block",
     "PackedSweep",
     "FilteredPackedSweep",
     "block_masks",
@@ -73,23 +80,57 @@ __all__ = [
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Largest dimensionality the packed engine materialises a closure
-#: table for: ``(2**14, 256)`` uint64 is 32 MiB.  Beyond it the table
-#: (and the O(n²) pair sweep itself) stops being sensible; callers fall
-#: back to the lazy big-int loop engine.
+#: Largest dimensionality the engine accepts — the paper's largest
+#: ``d``, and the widest rows a 32-bit ``le + (eq << d)`` comparison
+#: code covers.
+MAX_D = PairCoder.MAX_D
+
+#: Largest dimensionality with a cached dense closure table:
+#: ``(2**14, 256)`` uint64 is 32 MiB.  Above it a table would take
+#: 128 MiB (d = 15) or 512 MiB (d = 16), so closure rows are computed
+#: per request instead.
 PACKED_MAX_D = 14
 
-#: Default rows per pair-sweep block.  Peak memory is a few
-#: ``block × |S+|`` byte arrays plus the ``block × 4**d`` presence
-#: table; 256 keeps the latter L2/L3-resident up to ``d = 9``, which
-#: measures slightly faster than larger blocks.
+#: Default rows per pair-sweep block up to :data:`PACKED_MAX_D`.  Peak
+#: memory is a few ``block × |S+|`` byte arrays plus the
+#: ``block × 4**d`` presence table; 256 keeps the latter L2/L3-resident
+#: up to ``d = 9``, which measures slightly faster than larger blocks.
 DEFAULT_BLOCK = 256
+
+#: Above :data:`PACKED_MAX_D` one block gathers ``block × |S+|``
+#: computed closure rows of ``2**d / 8`` bytes each; the default block
+#: is this many bytes over one row's size (8 rows at d = 15, 4 at
+#: d = 16), which measured faster and leaner than larger blocks.
+_WIDE_BLOCK_BYTES = 1 << 15
 
 #: Presence-table dedup is used instead of an ``np.unique`` sort while
 #: the ``block * 4**d`` key space stays under this many booleans.
 _PRESENCE_LIMIT = 1 << 26
 
 _TABLE_CACHE: Dict[int, np.ndarray] = {}
+
+_LOW = np.arange(WORD_BITS)
+
+#: Word ``m`` has bit ``l`` set iff ``l ⊆ m``, the empty set included:
+#: the down-closure of a six-bit mask within one word.
+_LOW_CLOSURES = np.bitwise_or.reduce(
+    np.where(
+        (_LOW[None, :] & ~_LOW[:, None]) == 0,
+        np.uint64(1) << _LOW.astype(np.uint64),
+        np.uint64(0),
+    ),
+    axis=1,
+)
+
+_TOP_BIT = np.uint64(1 << (WORD_BITS - 1))
+
+def check_d(d: int) -> None:
+    """Reject a dimensionality the engine cannot sweep, naming the limit."""
+    if not 1 <= d <= MAX_D:
+        raise ValueError(
+            f"d must be in [1, {MAX_D}] (comparison codes pack le and eq "
+            f"into 32 bits), got d={d}"
+        )
 
 
 def words_for(d: int) -> int:
@@ -99,17 +140,39 @@ def words_for(d: int) -> int:
     return -(-((1 << d) - 1) // WORD_BITS)
 
 
-def _shift_rows_left(rows: np.ndarray, shift: int) -> np.ndarray:
-    """Every packed row shifted left by ``shift`` bit positions."""
-    words = rows.shape[1]
-    word_shift, bit_shift = divmod(shift, WORD_BITS)
-    out = np.zeros_like(rows)
-    if word_shift < words:
-        out[:, word_shift:] = rows[:, : words - word_shift]
-    if bit_shift:
-        carry = out[:, :-1] >> np.uint64(WORD_BITS - bit_shift)
-        out <<= np.uint64(bit_shift)
-        out[:, 1:] |= carry
+def default_block(d: int) -> int:
+    """Rows per sweep block when the caller pins none.
+
+    :data:`DEFAULT_BLOCK` while closure rows come from the dense table;
+    above :data:`PACKED_MAX_D` the rows a block gathers grow with
+    ``2**d``, so the block shrinks with them (:data:`_WIDE_BLOCK_BYTES`).
+    """
+    if d <= PACKED_MAX_D:
+        return DEFAULT_BLOCK
+    return max(1, _WIDE_BLOCK_BYTES // (8 * words_for(d)))
+
+
+def _factored_rows(masks: np.ndarray, d: int) -> np.ndarray:
+    """Packed ``closure(m)`` of every mask in a 1-D int64 array.
+
+    ``δ = (h << 6) | l`` is a submask of ``m`` iff ``h ⊆ m >> 6`` and
+    ``l ⊆ m & 63``.  In the layout with bit ``δ`` at word ``δ // 64``
+    (the empty set at bit 0), word ``h`` of ``closure(m)`` is therefore
+    the low-closure word of ``m & 63`` when ``h ⊆ m >> 6`` and zero
+    otherwise; one right shift by a bit moves every ``δ`` to the packed
+    ``δ - 1`` position and drops the empty set.  The bit shifted into
+    the top of word ``h`` is bit 0 of word ``h + 1`` — the empty low
+    set, present iff ``h + 1 ⊆ m >> 6``.
+    """
+    # The high parts have at most d - 6 <= 10 bits: uint16 keeps the
+    # (masks, words) subset test a quarter of the int64 traffic.
+    high = np.arange(1 << max(d - 6, 0), dtype=np.uint16)
+    inside = (high[None, :] & ~(masks >> 6).astype(np.uint16)[:, None]) == 0
+    low = _LOW_CLOSURES[masks & 63] >> np.uint64(1)
+    out = np.where(inside, low[:, None], np.uint64(0))
+    np.bitwise_or(
+        out[:, :-1], _TOP_BIT, out=out[:, :-1], where=inside[:, 1:]
+    )
     return out
 
 
@@ -119,16 +182,8 @@ def closure_table(d: int) -> np.ndarray:
     Row ``m`` of the ``(2**d, words)`` result has bit ``δ - 1`` set for
     every non-empty ``δ ⊆ m`` — elementwise equal to
     :meth:`repro.core.closures.SubspaceClosures.closure` over all
-    ``2**d`` masks at once.  Built by a submask DP grouped on the
-    lowest set bit: with ``b = lowbit(m)`` and ``r = m ^ b``,
-
-        ``closure(m) = closure(r) | (closure(r) << b) | bit(b - 1)``
-
-    (submasks without ``b``, submasks with ``b`` — whose bitset
-    positions shift by exactly ``b`` — and the singleton ``{b}``).
-    Every mask in a group shares the same shift, so each group is a few
-    whole-array ops; the table is built once per ``d`` and cached
-    read-only.
+    ``2**d`` masks at once.  Built by :func:`_factored_rows` once per
+    ``d`` up to :data:`PACKED_MAX_D` and cached read-only.
     """
     if not 1 <= d <= PACKED_MAX_D:
         raise ValueError(
@@ -136,23 +191,46 @@ def closure_table(d: int) -> np.ndarray:
             f"table, got {d}"
         )
     cached = _TABLE_CACHE.get(d)
-    if cached is not None:
-        return cached
-    words = words_for(d)
-    table = np.zeros((1 << d, words), dtype=np.uint64)
-    # Descending j: the DP source ``m ^ (1 << j)`` has a *higher*
-    # lowest bit, so its row is already final.
-    for j in reversed(range(d)):
-        bit = 1 << j
-        group = np.arange(bit, 1 << d, 2 * bit)  # masks with lowbit 2**j
-        source = table[group - bit]
-        combined = source | _shift_rows_left(source, bit)
-        word_index, bit_index = divmod(bit - 1, WORD_BITS)
-        combined[:, word_index] |= np.uint64(1 << bit_index)
-        table[group] = combined
-    table.setflags(write=False)
-    _TABLE_CACHE[d] = table
-    return table
+    if cached is None:
+        cached = _factored_rows(np.arange(1 << d, dtype=np.int64), d)
+        cached.setflags(write=False)
+        _TABLE_CACHE[d] = cached
+    return cached
+
+
+def closure_rows(
+    masks: np.ndarray, d: int, table: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Packed ``closure(m)`` of every mask, shape ``masks.shape + (words,)``.
+
+    Up to :data:`PACKED_MAX_D` a gather from the cached dense table
+    (``table`` overrides it); above it the rows of this call's distinct
+    masks are computed by the six-bit factorisation and nothing is kept.
+    """
+    if d <= PACKED_MAX_D:
+        return (closure_table(d) if table is None else table)[masks]
+    unique, inverse = np.unique(masks, return_inverse=True)
+    rows = _factored_rows(unique.astype(np.int64), d)
+    return rows[np.asarray(inverse).reshape(np.shape(masks))]
+
+
+def code_rows(
+    codes: np.ndarray, d: int, table: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``closure(le) & ~closure(eq)`` of every code ``le | (eq << d)``.
+
+    The subspaces in which one comparison pair dominates (Definition 1
+    over the whole lattice): ``δ ⊆ le`` but not ``δ ⊆ eq``.
+    """
+    rows = closure_rows(codes & ((1 << d) - 1), d, table)
+    eq = codes >> d
+    if d <= PACKED_MAX_D:
+        return rows & ~closure_rows(eq, d, table)
+    # closure(0) is empty: only pairs tied somewhere lose bits, and
+    # computed rows cost far more than gathered ones.
+    tied = eq != 0
+    rows[tied] &= ~closure_rows(eq[tied], d)
+    return rows
 
 
 def _popcounts(d: int) -> np.ndarray:
@@ -166,10 +244,9 @@ def _popcounts(d: int) -> np.ndarray:
 def relevant_row(d: int, max_level: Optional[int]) -> np.ndarray:
     """Packed row with bit ``δ - 1`` set iff ``popcount(δ) <= max_level``.
 
-    The level filter shared by both skycube engines: the loop engine
-    widens it to an int (:func:`row_to_int`), the packed engine ORs its
-    complement straight into the mask rows.  ``max_level`` of ``None``
-    (or ``>= d``) selects every subspace.
+    The level filter of partial cubes: the sweeps OR its complement
+    (:func:`unmaterialised_row`) straight into the mask rows.
+    ``max_level`` of ``None`` (or ``>= d``) selects every subspace.
     """
     if not 1 <= d <= 24:
         raise ValueError(f"d must be in [1, 24] for a level row, got {d}")
@@ -228,9 +305,10 @@ class PackedSweep:
     """The blocked pair sweep over one ``S+`` row set.
 
     Binds a :class:`~repro.core.dominance.PairCoder` (rank-encoded
-    comparisons), the closure table and the dedup scratch buffers, so a
-    multi-block sweep — whether the whole of ``S+`` or one worker's
-    slice of it — pays the setup cost once.  Per block:
+    comparisons) and the dedup scratch buffers, so a multi-block sweep
+    — whether the whole of ``S+`` or one worker's slice of it — pays
+    the setup cost once.  ``table`` overrides the cached closure table
+    (:func:`closure_rows`).  Per block:
 
     1. ``coder.codes`` — the ``(b, n)`` packed ``le + (eq << d)``
        comparison codes of the block versus every row;
@@ -258,14 +336,11 @@ class PackedSweep:
                 f"expected a non-empty 2-D S+ array, got shape {rows.shape}"
             )
         self.n, self.d = rows.shape
-        if not 1 <= self.d <= PACKED_MAX_D:
-            raise ValueError(
-                f"packed engine supports d in [1, {PACKED_MAX_D}], got {self.d}"
-            )
-        self.block = DEFAULT_BLOCK if block is None else block
+        check_d(self.d)
+        self.block = default_block(self.d) if block is None else block
         if self.block < 1:
             raise ValueError(f"block must be positive, got {self.block}")
-        self.table = closure_table(self.d) if table is None else table
+        self.table = table
         self.coder = PairCoder(rows)
         self._present: Optional[np.ndarray] = None
 
@@ -289,8 +364,7 @@ class PackedSweep:
         unique = self._distinct(codes, b)
         shift = 2 * d
         row_of = unique >> shift
-        code = unique & ((1 << shift) - 1)
-        contributions = self.table[code & ((1 << d) - 1)] & ~self.table[code >> d]
+        contributions = code_rows(unique & ((1 << shift) - 1), d, self.table)
         group_starts = np.flatnonzero(np.r_[True, row_of[1:] != row_of[:-1]])
         if len(group_starts) != b:
             raise AssertionError(
@@ -432,7 +506,7 @@ class FilteredPackedSweep(PackedSweep):
             keys = (np.arange(b, dtype=np.int64)[:, None] << d) | strict
             unique = np.unique(keys)
         row_of = unique >> d
-        contributions = self.table[unique & ((1 << d) - 1)]
+        contributions = closure_rows(unique & ((1 << d) - 1), d, self.table)
         group_starts = np.flatnonzero(np.r_[True, row_of[1:] != row_of[:-1]])
         # Every row owns at least one key (t = 0 folds the all-zero
         # closure row), so the groups always cover the block.
@@ -510,10 +584,10 @@ def leaf_ordered(rows: np.ndarray) -> "tuple[np.ndarray, LeafLabels]":
     """``(leaf-ordered rows, labels)`` — the filtered sweeps' layout.
 
     The shared seam between the numpy filtered sweep below and the
-    accelerated backends (:mod:`repro.engine.jit`): every filtered
-    engine sweeps the same leaf-ordered rows against the same label
-    directory, so their mask rows scatter back through the same
-    ``labels.order`` permutation.
+    compiled backends (:mod:`repro.engine.jit`): every filtered engine
+    sweeps the same leaf-ordered rows against the same label directory,
+    so their mask rows scatter back through the same ``labels.order``
+    permutation.
     """
     from repro.partitioning.static_tree import LeafLabels
 
@@ -574,10 +648,9 @@ def packed_point_masks(
 ) -> np.ndarray:
     """Packed ``B_{p∉S}`` of every row of ``rows`` (the ``S+`` subset).
 
-    The drop-in packed replacement for the loop engine's per-point
-    sweep: returns an ``(n, words)`` uint64 array in row order, ready
-    for :meth:`repro.core.hashcube.HashCube.from_masks`.  ``block``
-    bounds peak memory (default :data:`DEFAULT_BLOCK` rows per sweep).
+    Returns an ``(n, words)`` uint64 array in row order, ready for
+    :meth:`repro.core.hashcube.HashCube.from_masks`.  ``block`` bounds
+    peak memory (default :func:`default_block` rows per sweep).
     """
     sweep = PackedSweep(rows, block=block, table=table)
     return sweep.range_masks(0, sweep.n)

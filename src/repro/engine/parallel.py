@@ -21,10 +21,11 @@ cores.  Three pieces compose it:
   in-process serial fallback that always produces the correct result.
 
 * Module-level task functions (:func:`cuboid_task`,
-  :func:`point_block_task`) that the templates dispatch: STSC/SDSC send
-  whole cuboids (one level per barrier, ``fast_skyline`` as the
-  in-worker hook), MDMC sends blocks of extended-skyline points whose
-  ``B_{p∉S}`` masks the parent batch-merges into the HashCube.
+  :func:`packed_point_block_task`, :func:`filtered_point_block_task`)
+  that the templates dispatch: STSC/SDSC send whole cuboids (one level
+  per barrier, ``fast_skyline`` as the in-worker hook), MDMC sends
+  blocks of extended-skyline points whose packed ``B_{p∉S}`` rows the
+  parent merges into the HashCube.
 
 Results are bit-identical to the serial reference implementations:
 the in-worker kernels are the :mod:`repro.engine.kernels` functions,
@@ -66,11 +67,9 @@ __all__ = [
     "ParallelExecutor",
     "EXECUTORS",
     "cuboid_task",
-    "point_block_task",
     "packed_point_block_task",
     "filtered_point_block_task",
     "parallel_lattice",
-    "parallel_point_masks",
     "parallel_packed_masks",
     "parallel_filtered_packed_masks",
 ]
@@ -420,48 +419,6 @@ def cuboid_task(task: Tuple) -> Tuple[List[int], List[int]]:
     return skyline.tolist(), extended_only.tolist()
 
 
-#: Per-worker memo shared across point blocks: ``d -> (closures,
-#: pair_bits)``.  Distinct ``(le, eq)`` pairs number at most ``3**d``,
-#: so every worker converges on the same small cache MDMC's serial
-#: engines keep per point set.
-_POINT_STATE: Dict[int, Tuple[Any, Dict[Tuple[int, int], int]]] = {}
-
-
-def point_block_task(task: Tuple) -> List[int]:
-    """MDMC work item: ``B_{p∉S}`` masks for one block of S+ points.
-
-    ``task = (descriptor, start, end)`` where the shared array holds
-    the extended-skyline rows.  Mirrors the vectorized per-point sweep
-    of :func:`repro.engine.kernels.fast_skycube`; the parent batch-
-    merges the returned masks into the HashCube.
-    """
-    from repro.core.closures import SubspaceClosures
-    from repro.core.dominance import dominance_masks_vs_all
-
-    descriptor, start, end = task
-    rows = SharedDataset.attach(descriptor)
-    d = rows.shape[1]
-    state = _POINT_STATE.get(d)
-    if state is None:
-        state = (SubspaceClosures(d), {})
-        _POINT_STATE[d] = state
-    closures, pair_bits = state
-    masks: List[int] = []
-    for j in range(start, end):
-        le, _, eq = dominance_masks_vs_all(rows, rows[j])
-        not_in_s = 0
-        for pair in set(zip(le.tolist(), eq.tolist())):
-            if pair[0] == 0:
-                continue
-            bits = pair_bits.get(pair)
-            if bits is None:
-                bits = closures.dominated_update(pair[0], pair[1])
-                pair_bits[pair] = bits
-            not_in_s |= bits
-        masks.append(not_in_s)
-    return masks
-
-
 #: Per-worker packed sweep over the current shared S+ segment.  Keyed
 #: by ``(segment name, backend)`` and kept to the most recent entry: a
 #: sweep holds the rank/closure structures (derived copies, not views
@@ -475,7 +432,7 @@ def packed_point_block_task(task: Tuple) -> np.ndarray:
 
     ``task = (descriptor, start, end, backend)`` over a shared array
     holding the extended-skyline rows.  The worker resolves ``backend``
-    (gracefully — an accelerated backend missing in the worker degrades
+    (gracefully — a compiled backend missing in the worker degrades
     to the bit-identical numpy sweep) and builds, once per process per
     segment, that backend's sweep — rank-encoded comparisons plus the
     cached closure table — returning the packed ``(end - start,
@@ -636,37 +593,6 @@ BLOCKS_PER_WORKER = 4
 MIN_BLOCK, MAX_BLOCK = 32, 2048
 
 
-def parallel_point_masks(
-    rows: np.ndarray,
-    executor: ParallelExecutor,
-    block: Optional[int] = None,
-) -> List[int]:
-    """``B_{p∉S}`` of every row of ``rows`` (the S+ subset), in order.
-
-    Rows are split into contiguous blocks of roughly equal size; each
-    block is one :func:`point_block_task`.  Block boundaries do not
-    affect the masks (every task sees the full shared ``rows``), only
-    the parallel grain.
-    """
-    n = len(rows)
-    if n == 0:
-        return []
-    if block is None:
-        per_worker = -(-n // max(1, executor.workers * BLOCKS_PER_WORKER))
-        block = max(MIN_BLOCK, min(MAX_BLOCK, per_worker))
-    elif block < 1:
-        raise ValueError(f"block must be positive, got {block}")
-    with SharedDataset(rows) as shared:
-        descriptor = shared.descriptor
-        tasks = [
-            (descriptor, start, min(n, start + block))
-            for start in range(0, n, block)
-        ]
-        costs = [float(end - start) for _, start, end in tasks]
-        outputs = executor.run(point_block_task, tasks, costs)
-    return [mask for block_masks in outputs for mask in block_masks]
-
-
 def parallel_packed_masks(
     rows: np.ndarray,
     executor: ParallelExecutor,
@@ -675,12 +601,11 @@ def parallel_packed_masks(
 ) -> np.ndarray:
     """Packed ``B_{p∉S}`` rows of ``rows`` (the S+ subset), in order.
 
-    The packed-engine counterpart of :func:`parallel_point_masks`:
-    contiguous blocks become :func:`packed_point_block_task` items and
+    Contiguous blocks become :func:`packed_point_block_task` items and
     the uint64 mask blocks concatenate into one ``(n, words)`` array —
-    workers return numpy words instead of per-point big ints, so the
-    parent merges once and never widens masks in Python.  Block
-    boundaries affect only the parallel grain, never the masks.
+    workers return numpy words, so the parent merges once and never
+    widens masks in Python.  Block boundaries affect only the parallel
+    grain, never the masks.
     ``backend`` ships with every task so workers build their sweeps on
     the selected kernel backend (bit-identical across backends).
     """

@@ -112,10 +112,9 @@ class ServingSnapshot:
         ``engine`` selects the :func:`repro.engine.fast_skycube` sweep
         — any of :data:`repro.engine.SKYCUBE_ENGINES` (``"packed"``,
         the default; ``"packed-filtered"``, fastest on clustered or
-        correlated data; ``"loop"``).  ``backend`` picks the packed
-        kernel backend (:data:`repro.engine.jit.BACKEND_CHOICES`).  All
-        combinations produce bit-identical snapshots; the packed sweeps
-        bootstrap serving several times faster than the loop.
+        correlated data).  ``backend`` picks the packed kernel backend
+        (:data:`repro.engine.jit.BACKEND_CHOICES`).  All combinations
+        produce bit-identical snapshots.
         """
         skycube = fast_skycube(
             data,
@@ -140,19 +139,10 @@ class ServingSnapshot:
         One aligned ``snapshot_arrays`` copy plus the bulk
         :meth:`~repro.core.hashcube.HashCube.from_masks` constructor —
         distinct masks are split into stored words once, ids appended
-        group-wise — instead of a per-point Python insert loop.  The
-        legacy big-int maintainer (``d`` beyond the packed engine)
-        has no packed mask rows and keeps the per-mask path.
+        group-wise — instead of a per-point Python insert loop.
         """
         ids, data, mask_rows = maintainer.snapshot_arrays()
-        if mask_rows is not None:
-            cube = HashCube.from_masks(
-                maintainer.d, ids, mask_rows, word_width
-            )
-        else:
-            cube = HashCube(maintainer.d, word_width)
-            for pid in ids.tolist():
-                cube.insert(pid, maintainer.membership_mask(pid))
+        cube = HashCube.from_masks(maintainer.d, ids, mask_rows, word_width)
         return cls(cube, data, ids=ids, version=version, copy=False)
 
     # -- queries -------------------------------------------------------

@@ -1,6 +1,5 @@
 """Skyline algorithms: baselines and template hook implementations."""
 
-from repro.skyline.accelerated import KernelSkyline
 from repro.skyline.apskyline import APSkyline
 from repro.skyline.base import SkylineAlgorithm, SkylineResult
 from repro.skyline.bnl import BlockNestedLoops
@@ -30,7 +29,6 @@ __all__ = [
     "SkyAlign",
     "GNL",
     "GGS",
-    "KernelSkyline",
     "ALGORITHMS",
     "DEFAULT_HOOKS",
     "default_hook",

@@ -30,26 +30,15 @@ DEFAULT_HOOKS: Dict[Tuple[str, bool], Type[SkylineAlgorithm]] = {
 }
 
 
-def default_hook(
-    architecture: str, parallel: bool = False, simulate: bool = False
-) -> SkylineAlgorithm:
+def default_hook(architecture: str, parallel: bool = False) -> SkylineAlgorithm:
     """The paper's default hook instance for an architecture.
 
     ``parallel=True`` requests a device-parallel algorithm (an SDSC or
     MDMC setup hook); ``parallel=False`` accepts the architecture's
     default regardless of threading.  Raises :class:`LookupError` when
-    no such algorithm exists (single-threaded GPU).
-
-    For ``architecture="gpu"`` the hook is *real* whenever it can be: a
-    :class:`~repro.skyline.accelerated.KernelSkyline` over the first
-    available GPU kernel backend (:func:`repro.engine.jit.gpu_backend`).
-    With no CUDA backend importable the behaviour splits on
-    ``simulate``: ``simulate=True`` — what the templates pass — accepts
-    the instrumented :class:`~repro.skyline.skyalign.SkyAlign`
-    simulation instead, while the default ``simulate=False`` raises the
-    typed :class:`~repro.engine.jit.base.BackendUnavailableError`
-    naming the missing extra, so a direct ``default_hook("gpu")`` never
-    silently simulates.
+    no such algorithm exists (single-threaded GPU).  The GPU hook is the
+    instrumented :class:`~repro.skyline.skyalign.SkyAlign`, whose
+    operation counts drive the simulated device.
     """
     try:
         algorithm = DEFAULT_HOOKS[(architecture, parallel)]
@@ -58,13 +47,4 @@ def default_hook(
             f"no default {'parallel ' if parallel else ''}skyline "
             f"algorithm for architecture {architecture!r}"
         ) from None
-    if architecture == "gpu":
-        from repro.engine.jit import BackendUnavailableError, gpu_backend
-        from repro.skyline.accelerated import KernelSkyline
-
-        try:
-            return KernelSkyline(gpu_backend())
-        except BackendUnavailableError:
-            if not simulate:
-                raise
     return algorithm()

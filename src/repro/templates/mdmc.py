@@ -263,7 +263,7 @@ class MDMC(SkycubeTemplate):
         #: Explicit sweep-engine override (one of
         #: :data:`repro.engine.kernels.SKYCUBE_ENGINES`).  ``None``
         #: keeps the default behaviour: the instrumented per-point
-        #: engines when serial, packed-when-possible when ``process``.
+        #: engines when serial, ``"packed"`` when ``process``.
         if engine is not None:
             from repro.engine.kernels import SKYCUBE_ENGINES
 
@@ -275,7 +275,7 @@ class MDMC(SkycubeTemplate):
         #: Kernel-backend selection for the packed sweeps (one of
         #: :data:`repro.engine.jit.BACKEND_CHOICES`).  ``None`` keeps
         #: the numpy reference; process workers ship this choice with
-        #: every task.  An accelerated backend implies the vectorized
+        #: every task.  A compiled backend implies the vectorized
         #: engine path, so ``backend=`` requires ``engine=`` when
         #: serial (the instrumented per-point loop has no backends).
         if backend is not None:
@@ -298,7 +298,7 @@ class MDMC(SkycubeTemplate):
         else:
             self.engine = GPUPointEngine()
         self.set_hook(
-            default_hook(self.specialisation, parallel=True, simulate=True),
+            default_hook(self.specialisation, parallel=True),
             attr="_extended_hook",
         )
 
@@ -308,6 +308,9 @@ class MDMC(SkycubeTemplate):
         max_level: Optional[int],
         counters: Counters,
     ) -> SkycubeRun:
+        from repro.engine.packed import check_d
+
+        check_d(data.shape[1])
         if self.executor == "process":
             return self._materialise_process(data, max_level, counters)
         if self.sweep_engine is not None:
@@ -438,57 +441,37 @@ class MDMC(SkycubeTemplate):
         from repro.engine.parallel import (
             parallel_filtered_packed_masks,
             parallel_packed_masks,
-            parallel_point_masks,
         )
 
         d = data.shape[1]
-        engine = self.sweep_engine
-        if engine is None:
-            engine = "packed" if d <= packed.PACKED_MAX_D else "loop"
-        elif engine != "loop" and d > packed.PACKED_MAX_D:
-            raise ValueError(
-                f"engine={engine!r} supports d <= {packed.PACKED_MAX_D}, "
-                f"got d={d}; use engine='loop'"
-            )
+        engine = self.sweep_engine or "packed"
         splus_ids = splus_ids_for_engine(data, engine, counters=counters)
         rows = np.ascontiguousarray(data[splus_ids])
 
         executor = self._make_executor()
         counters.sync_points += 1
-        if engine != "loop":
-            # Packed composition: workers return uint64 mask blocks,
-            # the parent ORs in the level filter and merges exactly
-            # once through the bulk word-splitting constructor.
-            if engine == "packed-filtered":
-                mask_rows = parallel_filtered_packed_masks(
-                    rows, executor, counters=counters, backend=self.backend
-                )
-            else:
-                mask_rows = parallel_packed_masks(
-                    rows, executor, backend=self.backend
-                )
-            if max_level is not None and max_level < d:
-                mask_rows = mask_rows | packed.unmaterialised_row(d, max_level)
-            hashcube = HashCube.from_masks(
-                d,
-                splus_ids,
-                mask_rows,
-                word_width=self.word_width,
-                bit_order=self.bit_order,
+        # Workers return uint64 mask blocks, the parent ORs in the
+        # level filter and merges exactly once through the bulk
+        # word-splitting constructor.
+        if engine == "packed-filtered":
+            mask_rows = parallel_filtered_packed_masks(
+                rows, executor, counters=counters, backend=self.backend
             )
-            inserted = len(splus_ids)
         else:
-            masks = parallel_point_masks(rows, executor)
-            relevant = self._relevant_bits(d, max_level)
-            all_bits = (1 << full_space(d)) - 1
-            unmaterialised = all_bits & ~relevant
-            hashcube = HashCube(d, self.word_width, self.bit_order)
-            inserted = hashcube.insert_batch(
-                (int(pid), mask | unmaterialised)
-                for pid, mask in zip(splus_ids, masks)
+            mask_rows = parallel_packed_masks(
+                rows, executor, backend=self.backend
             )
-        counters.tasks += inserted
-        counters.points_processed += inserted
+        if max_level is not None and max_level < d:
+            mask_rows = mask_rows | packed.unmaterialised_row(d, max_level)
+        hashcube = HashCube.from_masks(
+            d,
+            splus_ids,
+            mask_rows,
+            word_width=self.word_width,
+            bit_order=self.bit_order,
+        )
+        counters.tasks += len(splus_ids)
+        counters.points_processed += len(splus_ids)
 
         setup_phase = PhaseTrace("extended+shm")
         setup_phase.tasks.append(

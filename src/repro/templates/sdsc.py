@@ -51,9 +51,7 @@ class SDSC(SkycubeTemplate):
     ) -> None:
         super().__init__(specialisation, executor, workers)
         if hook is None:
-            hook = default_hook(
-                self.specialisation, parallel=True, simulate=True
-            )
+            hook = default_hook(self.specialisation, parallel=True)
         self.set_hook(hook, require_parallel=True)
 
     def _materialise(

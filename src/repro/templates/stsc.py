@@ -51,9 +51,7 @@ class STSC(SkycubeTemplate):
     ) -> None:
         super().__init__(specialisation, executor, workers)
         self.set_hook(
-            hook
-            if hook is not None
-            else default_hook(self.specialisation, simulate=True)
+            hook if hook is not None else default_hook(self.specialisation)
         )
 
     def _materialise(

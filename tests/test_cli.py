@@ -50,7 +50,7 @@ class TestReproCLI:
         )
         assert baseline == 0
         base_out = capsys.readouterr().out
-        for engine in ("packed", "packed-filtered", "loop"):
+        for engine in ("packed", "packed-filtered"):
             code = repro_main(
                 ["skycube", dataset_file, "--engine", engine,
                  "--show", "0b011"]
@@ -72,7 +72,9 @@ class TestReproCLI:
         # argparse rejects anything outside the single source of truth
         with pytest.raises(SystemExit):
             repro_main(["skycube", dataset_file, "--engine", "simd"])
-        assert SKYCUBE_ENGINES == ("packed", "packed-filtered", "loop")
+        with pytest.raises(SystemExit):
+            repro_main(["skycube", dataset_file, "--engine", "loop"])
+        assert SKYCUBE_ENGINES == ("packed", "packed-filtered")
 
     def test_generate_and_stats(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.npy")
@@ -105,6 +107,35 @@ class TestReproCLI:
         with pytest.raises(SystemExit, match="drop --max-level"):
             repro_main(["serve", dataset_file,
                         "--profile", str(profile_path)])
+
+    def test_serve_ignored_knobs_fail_at_startup(self, dataset_file, tmp_path):
+        # A knob the chosen tier never reads must fail at startup, not be
+        # dropped: a saved cube serves as built, --live bootstraps its
+        # own sweep, only --live compacts and only --shards partitions.
+        snapshot = str(tmp_path / "cube.npz")
+        for argv, message in (
+            (["--snapshot", snapshot, "--max-level", "1"], "drop --max-level"),
+            (["--snapshot", snapshot, "--engine", "packed"], "drop --engine"),
+            (["--snapshot", snapshot, "--backend", "numpy"], "drop --engine"),
+            (["--live", "--engine", "packed-filtered"], "drop --engine"),
+            (["--live", "--backend", "numpy"], "drop --engine"),
+            (["--compact-every", "5"], "drop --compact-every"),
+            (["--partitioner", "angular"], "drop --partitioner"),
+        ):
+            with pytest.raises(SystemExit, match=message):
+                repro_main(["serve", dataset_file, *argv])
+        for text, argv, message in (
+            ("[serve]\ncompact_every = 5\n", [], r"\[serve\] compact_every"),
+            ('[shard]\npartitioner = "angular"\n', [],
+             r"\[shard\] partitioner"),
+            ("[serve]\nmax_level = 1\n", ["--snapshot", snapshot],
+             r"\[serve\] max_level"),
+        ):
+            profile_path = tmp_path / "ignored.toml"
+            profile_path.write_text(text)
+            with pytest.raises(SystemExit, match=message):
+                repro_main(["serve", dataset_file,
+                            "--profile", str(profile_path), *argv])
 
     def test_serve_snapshot_dimension_mismatch(self, dataset_file, tmp_path):
         from repro.core.serialize import save_skycube

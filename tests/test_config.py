@@ -230,6 +230,20 @@ class TestValidation:
         with pytest.raises(ProfileError, match="did you mean 'window_ms'"):
             profile_from_dict({"serve": {"window_m": 1.0}})
 
+    def test_retired_engine_and_backend_values_get_a_suggestion(self):
+        # 'loop' and 'cupy' are no longer engines/backends: the profile
+        # fails naming the key and the choice that replaced them.
+        with pytest.raises(
+            ProfileError, match=r"engine\.engine.*did you mean 'packed'"
+        ):
+            profile_from_dict({"engine": {"engine": "loop"}})
+        with pytest.raises(
+            ProfileError, match=r"engine\.backend.*did you mean 'numpy'"
+        ):
+            profile_from_dict({"engine": {"backend": "cupy"}})
+        with pytest.raises(ProfileError, match="did you mean 'packed-filtered'"):
+            profile_from_dict({"engine": {"engine": "packed-filterd"}})
+
     def test_bad_partitioner_lists_the_known_names(self):
         from repro.shard.plan import PARTITIONER_NAMES
 
@@ -282,12 +296,12 @@ class TestConsumers:
 
         monkeypatch.setattr(runner, "_builder", spy)
         profile = profile_from_dict({
-            "engine": {"engine": "loop", "workers": 2},
+            "engine": {"engine": "packed-filtered", "workers": 2},
         })
         run = runner.build_run(
             "mdmc-cpu", "independent", 30, 3, profile=profile
         )
-        assert calls == [("mdmc-cpu", "serial", 2, "loop")]
+        assert calls == [("mdmc-cpu", "serial", 2, "packed-filtered")]
         assert len(list(run.skycube.subspaces())) == 7
 
     def test_build_run_explicit_argument_beats_profile(self, monkeypatch):
@@ -301,7 +315,7 @@ class TestConsumers:
             return real_builder(key, executor, workers, engine, backend)
 
         monkeypatch.setattr(runner, "_builder", spy)
-        profile = profile_from_dict({"engine": {"engine": "loop"}})
+        profile = profile_from_dict({"engine": {"engine": "packed-filtered"}})
         runner.build_run(
             "mdmc-cpu", "independent", 30, 3, engine="packed",
             profile=profile,

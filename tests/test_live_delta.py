@@ -23,6 +23,7 @@ import pytest
 from repro.core.analytics import membership_masks
 from repro.core.bitmask import full_space
 from repro.core.maintain import SkycubeMaintainer
+from repro.core.skyline import skyline_indices
 from repro.data.generator import generate
 from repro.engine.kernels import fast_skycube
 from repro.serve.snapshot import ChangeLog, LiveUpdater
@@ -151,6 +152,62 @@ class TestRandomizedMutationSequences:
         assert version == holder.version == 7
 
 
+class TestAboveDenseTable:
+    def test_d15_stream_deltas_and_rebuilds(self):
+        # d = 15 computes closure rows per request (no dense table):
+        # every delta must be the exact mask movement, and the masks a
+        # from-scratch rebuild's, after every step.
+        d = 15
+        data = generate("anticorrelated", 24, d, seed=15)
+        data = np.vstack([data, data[:3]])  # exact duplicates
+        updater, holder = LiveUpdater.bootstrap(data, compact_every=4)
+        maintainer = updater.maintainer
+        recorded = []
+        record = updater.changelog.record
+
+        def spy(version, delta):
+            recorded.append(delta)
+            record(version, delta)
+
+        updater.changelog.record = spy
+        live = {pid: data[pid].copy() for pid in range(len(data))}
+        rng = np.random.default_rng(15)
+        for step in range(12):
+            before = {pid: maintainer.membership_mask(pid) for pid in live}
+            if step % 3 == 2:
+                victim = int(rng.choice(sorted(live)))
+                updater.delete(victim)
+                del live[victim]
+                removed = (victim,)
+            else:
+                if step % 3 == 1:  # an exact duplicate of a live point
+                    point = live[int(rng.choice(sorted(live)))].copy()
+                else:
+                    point = rng.random(d)
+                pid, _ = updater.insert(point)
+                live[pid] = point
+                removed = ()
+            after = {pid: maintainer.membership_mask(pid) for pid in live}
+            delta = recorded[-1]
+            assert delta.removed == removed
+            assert delta.changed == {
+                pid: mask for pid, mask in after.items()
+                if before.get(pid) != mask
+            }
+            assert delta.previous == {
+                pid: before[pid]
+                for pid in list(delta.changed) + list(removed)
+                if pid in before
+            }
+            pids = sorted(live)
+            rebuild = fast_skycube(np.stack([live[pid] for pid in pids]))
+            snapshot = holder.current.cube
+            for pos, pid in enumerate(pids):
+                expected = rebuild.store.membership_mask(pos)
+                assert after[pid] == expected, (step, pid)
+                assert snapshot.membership_mask(pid) == expected, (step, pid)
+
+
 class TestSkylineDiffOracle:
     def test_every_version_pair_matches_two_full_rebuilds(self):
         d, n0, steps = 4, 40, 14
@@ -160,17 +217,16 @@ class TestSkylineDiffOracle:
         rng = np.random.default_rng(7)
 
         def skylines_now():
-            # Two independent full rebuilds (packed and per-point loop
-            # engines) that must agree with each other — the diff
-            # oracle is their common answer.
+            # Two independent full rebuilds (the packed engine and a
+            # naive skyline per subspace) that must agree with each
+            # other — the diff oracle is their common answer.
             pids = sorted(live)
             rows = np.stack([live[pid] for pid in pids])
             packed = fast_skycube(rows, engine="packed")
-            loop = fast_skycube(rows, engine="loop")
             by_delta = {}
             for delta in range(1, full_space(d) + 1):
                 a = frozenset(pids[pos] for pos in packed.skyline(delta))
-                b = frozenset(pids[pos] for pos in loop.skyline(delta))
+                b = frozenset(pids[pos] for pos in skyline_indices(rows, delta))
                 assert a == b
                 by_delta[delta] = a
             return by_delta

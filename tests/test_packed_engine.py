@@ -1,18 +1,25 @@
 """Packed-bitset engine: bit-identity with the reference MDMC paradigm.
 
-Covers the :mod:`repro.engine.packed` word layout and closure table,
+Covers the :mod:`repro.engine.packed` word layout and closure rows,
 the :class:`repro.core.dominance.PairCoder` comparison codes, the
-``engine="packed"`` fast path of ``fast_skycube`` (against the loop
-engine and the brute-force oracle), ``HashCube.from_masks`` validation,
-and the packed composition with the process executor.
+``engine="packed"`` fast path of ``fast_skycube`` (against the
+per-point ``SubspaceClosures`` fold and the brute-force oracle),
+``HashCube.from_masks`` validation, and the packed composition with
+the process executor.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.closures import SubspaceClosures
-from repro.core.dominance import PairCoder, dominance_pair_codes, rank_columns
+from repro.core.dominance import (
+    PairCoder,
+    dominance_masks_vs_all,
+    dominance_pair_codes,
+    rank_columns,
+)
 from repro.core.hashcube import HashCube
+from repro.core.skyline import skyline_indices
 from repro.core.verify import brute_force_skycube
 from repro.data.generator import generate
 from repro.engine import packed
@@ -50,6 +57,34 @@ def packed_workload(request):
     return request.param[1]
 
 
+def fold_masks(rows):
+    """Per-point ``SubspaceClosures`` fold of each row's distinct pairs.
+
+    The big-int reference for the packed sweep: ``B_{p∉S}`` of every row
+    of ``rows`` against all of ``rows``.
+    """
+    closures = SubspaceClosures(rows.shape[1])
+    masks = []
+    for j in range(len(rows)):
+        le, _, eq = dominance_masks_vs_all(rows, rows[j])
+        mask = 0
+        for pair in set(zip(le.tolist(), eq.tolist())):
+            if pair[0]:
+                mask |= closures.dominated_update(pair[0], pair[1])
+        masks.append(mask)
+    return masks
+
+
+def fold_cube(data, max_level=None, bit_order="numeric"):
+    """The reference HashCube: every point inserted by its folded mask."""
+    d = data.shape[1]
+    unmaterialised = packed.row_to_int(packed.unmaterialised_row(d, max_level))
+    cube = HashCube(d, bit_order=bit_order)
+    for pid, mask in enumerate(fold_masks(np.asarray(data))):
+        cube.insert(pid, mask | unmaterialised)
+    return cube
+
+
 # -- word layout and closure table -------------------------------------
 
 
@@ -69,6 +104,42 @@ def test_closure_table_equals_subspace_closures(d):
     assert table.shape == (1 << d, packed.words_for(d))
     for mask in range(1 << d):
         assert packed.row_to_int(table[mask]) == closures.closure(mask), mask
+
+
+def dp_closure_table(d):
+    """The submask DP grouped on the lowest set bit: an independent
+    construction of the dense table.
+
+    With ``b = lowbit(m)`` and ``r = m ^ b``, ``closure(m) = closure(r)
+    | (closure(r) << b) | bit(b - 1)``.
+    """
+    table = [0] * (1 << d)
+    for m in range(1, 1 << d):
+        b = m & -m
+        r = table[m ^ b]
+        table[m] = r | (r << b) | (1 << (b - 1))
+    return table
+
+
+def test_closure_rows_match_dp_table_and_subspace_closures():
+    for d in range(1, packed.PACKED_MAX_D + 1):
+        table = packed.closure_table(d)
+        masks = np.arange(1 << d)
+        assert np.array_equal(packed.closure_rows(masks, d), table)
+        assert packed.rows_to_ints(table) == dp_closure_table(d), d
+    rng = np.random.default_rng(15)
+    for d in (15, 16):
+        closures = SubspaceClosures(d)
+        full = (1 << d) - 1
+        masks = np.concatenate([
+            [0, 1, full, full ^ 1, 1 << (d - 1), 0b111111],
+            rng.integers(0, 1 << d, 24),
+        ])
+        masks = masks[np.argsort(rng.random(len(masks)))]
+        rows = packed.closure_rows(masks.reshape(5, 6), d)
+        assert rows.shape == (5, 6, packed.words_for(d))
+        for mask, row in zip(masks, rows.reshape(-1, packed.words_for(d))):
+            assert packed.row_to_int(row) == closures.closure(int(mask))
 
 
 def test_closure_table_cached_and_readonly():
@@ -157,17 +228,8 @@ def test_packed_masks_match_loop_pairs(packed_workload):
     data = packed_workload
     splus = fast_extended_skyline(data)
     rows = np.ascontiguousarray(data[splus])
-    d = data.shape[1]
-    closures = SubspaceClosures(d)
     masks = packed.packed_point_masks(rows)
-    from repro.core.dominance import dominance_masks_vs_all
-
-    for j in range(len(rows)):
-        le, _, eq = dominance_masks_vs_all(rows, rows[j])
-        expected = 0
-        for pair in set(zip(le.tolist(), eq.tolist())):
-            if pair[0]:
-                expected |= closures.dominated_update(pair[0], pair[1])
+    for j, expected in enumerate(fold_masks(rows)):
         assert packed.row_to_int(masks[j]) == expected, j
 
 
@@ -199,8 +261,7 @@ def test_packed_sweep_range_equals_whole():
 def test_engines_and_oracle_agree(packed_workload):
     data = packed_workload
     cube_packed = fast_skycube(data, engine="packed")
-    cube_loop = fast_skycube(data, engine="loop")
-    assert cube_packed.store == cube_loop.store
+    assert cube_packed.store == fold_cube(data)
     assert cube_packed == brute_force_skycube(data)
 
 
@@ -209,16 +270,14 @@ def test_engines_agree_across_bit_orders(bit_order):
     data = generate("anticorrelated", 130, 5, seed=21)
     data = np.vstack([data, data[:10]])
     a = fast_skycube(data, engine="packed", bit_order=bit_order)
-    b = fast_skycube(data, engine="loop", bit_order=bit_order)
-    assert a.store == b.store
+    assert a.store == fold_cube(data, bit_order=bit_order)
 
 
 @pytest.mark.parametrize("max_level", [1, 2, 3])
 def test_engines_agree_on_partial_cubes(max_level):
     data = generate("independent", 110, 4, seed=31)
     a = fast_skycube(data, max_level=max_level, engine="packed")
-    b = fast_skycube(data, max_level=max_level, engine="loop")
-    assert a.store == b.store
+    assert a.store == fold_cube(data, max_level=max_level)
     full = fast_skycube(data, engine="packed")
     for delta in range(1, 1 << 4):
         if bin(delta).count("1") <= max_level:
@@ -227,30 +286,23 @@ def test_engines_agree_on_partial_cubes(max_level):
 
 def test_engine_knob_validation():
     data = generate("independent", 30, 3, seed=1)
-    assert SKYCUBE_ENGINES == ("packed", "packed-filtered", "loop")
+    assert SKYCUBE_ENGINES == ("packed", "packed-filtered")
     with pytest.raises(ValueError):
         fast_skycube(data, engine="simd")
-    wide = generate("independent", 20, packed.PACKED_MAX_D + 1, seed=1)
     with pytest.raises(ValueError):
-        fast_skycube(wide, engine="packed")
-    with pytest.raises(ValueError):
-        fast_skycube(wide, engine="packed-filtered")
+        fast_skycube(data, engine="loop")
+    wide = generate("independent", 20, packed.MAX_D + 1, seed=1)
+    for engine in SKYCUBE_ENGINES:
+        with pytest.raises(ValueError, match=r"d must be in \[1, 16\]"):
+            fast_skycube(wide, engine=engine)
 
 
-def test_block_keyword_and_env_override(monkeypatch):
-    from repro.engine import kernels
-
+def test_block_keyword():
     data = generate("anticorrelated", 90, 3, seed=4)
     base = fast_skycube(data)
     assert fast_skycube(data, block=7).store == base.store
-    monkeypatch.setenv(kernels.BLOCK_ENV, "13")
-    assert fast_skycube(data).store == base.store
-    monkeypatch.setenv(kernels.BLOCK_ENV, "not-a-number")
     with pytest.raises(ValueError):
-        fast_skycube(data)
-    monkeypatch.setenv(kernels.BLOCK_ENV, "0")
-    with pytest.raises(ValueError):
-        fast_skycube(data)
+        fast_skycube(data, block=0)
 
 
 # -- filtered packed engine --------------------------------------------
@@ -468,6 +520,92 @@ def test_mdmc_engine_validation():
 
     with pytest.raises(ValueError):
         MDMC(engine="simd")
-    wide = generate("independent", 25, packed.PACKED_MAX_D + 1, seed=2)
-    with pytest.raises(ValueError):
-        MDMC(executor="process", engine="packed-filtered").materialise(wide)
+    wide = generate("independent", 25, packed.MAX_D + 1, seed=2)
+    for template in (
+        MDMC(),
+        MDMC(engine="packed"),
+        MDMC(executor="process", engine="packed-filtered"),
+    ):
+        with pytest.raises(ValueError, match=r"d must be in \[1, 16\]"):
+            template.materialise(wide)
+
+
+# -- above the dense closure table: d = 15 and 16 ----------------------
+
+
+def wide_workloads():
+    """A/I/C at d = 15 and 16, with exact duplicates and a tie."""
+    cases = []
+    for dist, n, d in (
+        ("anticorrelated", 24, 15),
+        ("independent", 24, 16),
+        ("correlated", 60, 15),
+        ("correlated", 60, 16),
+    ):
+        data = generate(dist, n, d, seed=d)
+        data = np.vstack([data, data[:4]])  # exact duplicates
+        data[5, 0] = data[6, 0]  # per-dimension tie
+        cases.append((f"{dist[:1]}-d{d}", data))
+    return cases
+
+
+def sampled_subspaces(d, max_level=None):
+    rng = np.random.default_rng(d)
+    deltas = [(1 << d) - 1] + [1 << k for k in range(d)]
+    deltas += [int(delta) for delta in rng.integers(1, 1 << d, 12)]
+    if max_level is not None:
+        deltas = [delta for delta in deltas if bin(delta).count("1") <= max_level]
+    return deltas
+
+
+def assert_matches_fold(cube, data, max_level=None):
+    d = data.shape[1]
+    unmaterialised = packed.row_to_int(packed.unmaterialised_row(d, max_level))
+    for pid, mask in enumerate(fold_masks(data)):
+        assert cube.store.membership_mask(pid) == mask | unmaterialised, pid
+    for delta in sampled_subspaces(d, max_level):
+        assert list(cube.skyline(delta)) == skyline_indices(data, delta), delta
+
+
+@pytest.mark.parametrize("case", wide_workloads(), ids=lambda case: case[0])
+def test_wide_skycubes_match_fold_and_naive_skylines(case):
+    from repro.templates import MDMC
+
+    data = case[1]
+    cube = fast_skycube(data)
+    assert_matches_fold(cube, data)
+    filtered = fast_skycube(data, engine="packed-filtered")
+    process = MDMC(executor="process", workers=2).materialise(data).skycube
+    for pid in range(len(data)):
+        expected = cube.store.membership_mask(pid)
+        assert filtered.store.membership_mask(pid) == expected, pid
+        assert process.store.membership_mask(pid) == expected, pid
+
+
+def test_wide_partial_cube():
+    from repro.serve.snapshot import ServingSnapshot
+
+    data = wide_workloads()[0][1]
+    cube = fast_skycube(data, max_level=3)
+    assert_matches_fold(cube, data, max_level=3)
+    snapshot = ServingSnapshot.build(data, max_level=3)
+    for delta in sampled_subspaces(data.shape[1]):
+        # Above max_level the snapshot answers with the ad-hoc kernels.
+        assert list(snapshot.skyline(delta)) == skyline_indices(data, delta)
+
+
+def test_d17_rejected_with_the_one_limit():
+    from repro.core.maintain import SkycubeMaintainer
+    from repro.serve.snapshot import LiveUpdater, ServingSnapshot
+
+    wide = generate("independent", 12, packed.MAX_D + 1, seed=17)
+    limit = r"d must be in \[1, 16\] \(comparison codes"
+    for build in (
+        lambda: SkycubeMaintainer(wide),
+        lambda: SkycubeMaintainer(d=packed.MAX_D + 1),
+        lambda: ServingSnapshot.build(wide),
+        lambda: LiveUpdater.bootstrap(wide),
+        lambda: packed.PackedSweep(wide),
+    ):
+        with pytest.raises(ValueError, match=limit):
+            build()

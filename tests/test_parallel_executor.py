@@ -19,7 +19,6 @@ from repro.engine.parallel import (
     EXECUTORS,
     ParallelExecutor,
     SharedDataset,
-    parallel_point_masks,
 )
 from repro.templates import MDMC, SDSC, STSC
 
@@ -171,15 +170,15 @@ class TestBackendEquality:
     def test_point_masks_match_fast_skycube(self):
         from repro.core.hashcube import HashCube
         from repro.engine.kernels import fast_extended_skyline, fast_skycube
+        from repro.engine.parallel import parallel_packed_masks
 
         data = generate("independent", 150, 4, seed=9)
         splus = fast_extended_skyline(data)
         rows = np.ascontiguousarray(data[splus])
-        masks = parallel_point_masks(
+        masks = parallel_packed_masks(
             rows, ParallelExecutor(workers=3), block=16
         )
-        cube = HashCube(4)
-        cube.insert_batch(zip((int(i) for i in splus), masks))
+        cube = HashCube.from_masks(4, splus, masks)
         assert cube == fast_skycube(data).store
 
     def test_single_point_dataset(self):
