@@ -18,9 +18,7 @@ everything a caller needs:
   :meth:`~KernelBackend.filtered_point_masks` produce the packed
   ``B_{p∉S}`` mask rows, bit-identical across every backend (the
   comparison codes and closure folds are integer bit operations on the
-  same rank encoding, so there is nothing to round);
-* **classification** — :meth:`~KernelBackend.classify` answers the
-  skyline/extended-skyline split directly.
+  same rank encoding, so there is nothing to round).
 
 Selection and fallback semantics live in
 :mod:`repro.engine.jit.registry`.
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
@@ -165,19 +163,6 @@ class KernelBackend(ABC):
         out = np.empty_like(leaf_masks)
         out[labels.order] = leaf_masks
         return out
-
-    # -- skyline classification ----------------------------------------
-
-    @abstractmethod
-    def classify(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(dominated, strictly_dominated)`` boolean arrays over rows.
-
-        ``dominated[i]`` iff some row dominates ``rows[i]`` (Definition
-        1: ``<=`` everywhere, ``<`` somewhere — duplicates never
-        dominate each other); ``strictly_dominated[i]`` iff some row is
-        ``<`` on every dimension.  ``~dominated`` is the skyline,
-        ``~strictly_dominated`` the extended skyline.
-        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -194,41 +194,6 @@ def _sweep_filtered(
     return out, skipped
 
 
-@njit(cache=True, parallel=True)
-def _classify_kernel(
-    ranks: np.ndarray,
-) -> Tuple[
-    np.ndarray, np.ndarray
-]:  # pragma: no cover - exercised only where numba installs
-    n, d = ranks.shape
-    dominated = np.zeros(n, dtype=np.bool_)
-    strict = np.zeros(n, dtype=np.bool_)
-    for i in prange(n):
-        found_dominated = False
-        for j in range(n):
-            all_le = True
-            all_lt = True
-            any_lt = False
-            for k in range(d):
-                rj = ranks[j, k]
-                ri = ranks[i, k]
-                if rj > ri:
-                    all_le = False
-                    all_lt = False
-                    break
-                if rj < ri:
-                    any_lt = True
-                else:
-                    all_lt = False
-            if all_le and any_lt:
-                found_dominated = True
-                if all_lt:
-                    strict[i] = True
-                    break
-        dominated[i] = found_dominated
-    return dominated, strict
-
-
 def _validated_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -401,10 +366,3 @@ class NumbaBackend(KernelBackend):
         return NumbaFilteredSweep(
             rows, labels, block=block, table=table, counters=counters
         )
-
-    def classify(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        ranks = np.ascontiguousarray(
-            rank_columns(np.asarray(rows, dtype=np.float64)).astype(np.uint32)
-        )
-        dominated, strict = _classify_kernel(ranks)
-        return np.asarray(dominated), np.asarray(strict)

@@ -9,20 +9,15 @@ probing and fallback treat all backends uniformly.  Always available.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.dominance import dominated_mask, rank_columns
 from repro.engine import packed
 from repro.engine.jit.base import KernelBackend
 from repro.instrument.counters import Counters
 
 __all__ = ["NumpyBackend"]
-
-#: Rows per classification block — bounds the ``block × n`` boolean
-#: intermediates of :func:`repro.core.dominance.dominated_mask`.
-_CLASSIFY_BLOCK = 512
 
 
 class NumpyBackend(KernelBackend):
@@ -49,15 +44,3 @@ class NumpyBackend(KernelBackend):
         return packed.FilteredPackedSweep(
             rows, labels, block=block, table=table, counters=counters
         )
-
-    def classify(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        ranks = rank_columns(np.asarray(rows, dtype=np.float64))
-        n = len(ranks)
-        dominated = np.empty(n, dtype=bool)
-        strict = np.empty(n, dtype=bool)
-        for start in range(0, n, _CLASSIFY_BLOCK):
-            end = min(n, start + _CLASSIFY_BLOCK)
-            chunk = ranks[start:end]
-            dominated[start:end] = dominated_mask(chunk, ranks, strict=False)
-            strict[start:end] = dominated_mask(chunk, ranks, strict=True)
-        return dominated, strict

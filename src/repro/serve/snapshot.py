@@ -111,8 +111,9 @@ class ServingSnapshot:
 
         ``engine`` selects the :func:`repro.engine.fast_skycube` sweep
         — any of :data:`repro.engine.SKYCUBE_ENGINES` (``"packed"``,
-        the default; ``"packed-filtered"``, fastest on clustered or
-        correlated data).  ``backend`` picks the packed kernel backend
+        the default; ``"packed-filtered"``, faster on duplicate-heavy
+        data, where its in-sweep leaf filter engages).  ``backend`` picks
+        the packed kernel backend
         (:data:`repro.engine.jit.BACKEND_CHOICES`).  All combinations
         produce bit-identical snapshots.
         """

@@ -28,7 +28,7 @@ from repro.engine.jit import (
     probe_backends,
     resolve_backend,
 )
-from repro.engine.kernels import fast_extended_skyline, fast_skycube, fast_skyline
+from repro.engine.kernels import fast_skycube
 from repro.instrument.counters import Counters
 
 
@@ -80,18 +80,6 @@ def test_backend_skycube_matches_oracle(workload, backend_name):
         cube = fast_skycube(workload, engine=engine, backend=backend_name)
         assert cube.store == reference.store
     assert reference == brute_force_skycube(workload)
-
-
-def test_backend_classify_matches_kernels(workload, backend_name):
-    backend = get_backend(backend_name)
-    dominated, strictly = backend.classify(workload)
-    n = len(workload)
-    skyline = np.flatnonzero(~dominated)
-    extended = np.flatnonzero(~strictly)
-    assert np.array_equal(skyline, fast_skyline(workload))
-    assert np.array_equal(extended, fast_extended_skyline(workload))
-    assert dominated.dtype == bool and strictly.dtype == bool
-    assert len(dominated) == len(strictly) == n
 
 
 # -- registry selection semantics --------------------------------------
