@@ -18,6 +18,7 @@ cost model consumes.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,7 +197,8 @@ class PairCoder:
       duplication fall back to the dense ``==`` sweep.
 
     The returned code array is an internal buffer reused by the next
-    ``codes`` call — consume (or copy) it before calling again.
+    ``codes`` call — consume (or copy) it before calling again.  Threads
+    that code the same rows concurrently each take a :meth:`sibling`.
     """
 
     #: Widest rows a code covers: ``le`` and ``eq`` take ``d`` bits each
@@ -237,16 +239,16 @@ class PairCoder:
             )
             squares = counts.astype(np.int64) ** 2
             self._sparse_eq[k] = int(squares.sum()) <= _SPARSE_EQ_LIMIT * n
-        self._rows = 0
-        self._le = np.empty((0, 0), dtype=self._acc_dtype)
-        self._eq = np.empty((0, 0), dtype=self._acc_dtype)
-        self._cmp = np.empty((0, 0), dtype=np.bool_)
-        self._scratch = np.empty((0, 0), dtype=self._acc_dtype)
-        self._codes = np.empty((0, 0), dtype=self.code_dtype)
+        self._allocate(0)
 
-    def _buffers(self, b: int) -> None:
-        if b <= self._rows:
-            return
+    def sibling(self) -> "PairCoder":
+        """A coder over the same (read-only) rank index, with buffers of
+        its own."""
+        twin = copy.copy(self)
+        twin._allocate(0)
+        return twin
+
+    def _allocate(self, b: int) -> None:
         shape = (b, self.n)
         self._le = np.empty(shape, dtype=self._acc_dtype)
         self._eq = np.empty(shape, dtype=self._acc_dtype)
@@ -254,6 +256,10 @@ class PairCoder:
         self._scratch = np.empty(shape, dtype=self._acc_dtype)
         self._codes = np.empty(shape, dtype=self.code_dtype)
         self._rows = b
+
+    def _buffers(self, b: int) -> None:
+        if b > self._rows:
+            self._allocate(b)
 
     def _equal_pairs(self, start: int, end: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """All ``(i, j)`` with ``rows[j, k] == rows[start + i, k]``."""

@@ -44,7 +44,11 @@ ints per point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+import collections
+import copy
+import os
+import threading
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -91,11 +95,12 @@ MAX_D = PairCoder.MAX_D
 #: per request instead.
 PACKED_MAX_D = 14
 
-#: Default rows per pair-sweep block up to :data:`PACKED_MAX_D`.  Peak
-#: memory is a few ``block × |S+|`` byte arrays plus the
-#: ``block × 4**d`` presence table; 256 keeps the latter L2/L3-resident
-#: up to ``d = 9``, which measures slightly faster than larger blocks.
-DEFAULT_BLOCK = 256
+#: Default rows per pair-sweep block up to :data:`PACKED_MAX_D`: the
+#: rows in flight across all of a sweep's threads.  Peak memory is a
+#: few ``block × |S+|`` byte arrays plus ``block × 4**d`` presence-table
+#: booleans; 128 (two 64-row sub-blocks on a 2-CPU host) ran the A/C
+#: d = 8 builds as fast as 256 at a lower peak RSS.
+DEFAULT_BLOCK = 128
 
 #: Above :data:`PACKED_MAX_D` one block gathers ``block × |S+|``
 #: computed closure rows of ``2**d / 8`` bytes each; the default block
@@ -104,10 +109,12 @@ DEFAULT_BLOCK = 256
 _WIDE_BLOCK_BYTES = 1 << 15
 
 #: Presence-table dedup is used instead of an ``np.unique`` sort while
-#: the ``block * 4**d`` key space stays under this many booleans.
+#: the ``block * 4**d`` key space stays under this many booleans —
+#: summed over every thread of a sweep.
 _PRESENCE_LIMIT = 1 << 26
 
 _TABLE_CACHE: Dict[int, np.ndarray] = {}
+_TABLE_LOCK = threading.Lock()
 
 _LOW = np.arange(WORD_BITS)
 
@@ -123,6 +130,15 @@ _LOW_CLOSURES = np.bitwise_or.reduce(
 )
 
 _TOP_BIT = np.uint64(1 << (WORD_BITS - 1))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most threads a sweep starts."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
 
 def check_d(d: int) -> None:
     """Reject a dimensionality the engine cannot sweep, naming the limit."""
@@ -183,18 +199,21 @@ def closure_table(d: int) -> np.ndarray:
     every non-empty ``δ ⊆ m`` — elementwise equal to
     :meth:`repro.core.closures.SubspaceClosures.closure` over all
     ``2**d`` masks at once.  Built by :func:`_factored_rows` once per
-    ``d`` up to :data:`PACKED_MAX_D` and cached read-only.
+    ``d`` up to :data:`PACKED_MAX_D` and cached read-only; the lock
+    keeps concurrent sweeps from each building a table (32 MiB at
+    ``d = 14``) on a cold cache.
     """
     if not 1 <= d <= PACKED_MAX_D:
         raise ValueError(
             f"d must be in [1, {PACKED_MAX_D}] for a packed closure "
             f"table, got {d}"
         )
-    cached = _TABLE_CACHE.get(d)
-    if cached is None:
-        cached = _factored_rows(np.arange(1 << d, dtype=np.int64), d)
-        cached.setflags(write=False)
-        _TABLE_CACHE[d] = cached
+    with _TABLE_LOCK:
+        cached = _TABLE_CACHE.get(d)
+        if cached is None:
+            cached = _factored_rows(np.arange(1 << d, dtype=np.int64), d)
+            cached.setflags(write=False)
+            _TABLE_CACHE[d] = cached
     return cached
 
 
@@ -322,6 +341,18 @@ class PackedSweep:
 
     ``rows`` must be the extended skyline ``S+``: each point compares
     against itself, so every block row owns at least one code group.
+
+    **Threads.**  :meth:`range_masks` splits its blocks over up to
+    :attr:`threads` threads (default: the CPUs this process may run on)
+    that start and end inside the call.  ``block`` is then the rows in
+    flight across all threads, split evenly between them (at least one
+    row each, so never more threads than ``block``), and each thread
+    gets an equal share of
+    :data:`_PRESENCE_LIMIT`, so peak memory does not grow with the CPU
+    count.  Each thread sweeps with its own coder buffers and presence
+    table over the one shared rank index and closure table, and writes
+    its sub-blocks into their own slices of one output, so the rows are
+    bit-identical to the serial sweep whatever the scheduling.
     """
 
     def __init__(
@@ -342,12 +373,30 @@ class PackedSweep:
             raise ValueError(f"block must be positive, got {self.block}")
         self.table = table
         self.coder = PairCoder(rows)
+        #: Most threads :meth:`range_masks` runs on; 1 keeps it on the
+        #: calling thread (process-pool workers set it, so threads and
+        #: processes do not multiply).
+        self.threads = _cpu_count()
         self._present: Optional[np.ndarray] = None
+        self._presence_limit = _PRESENCE_LIMIT
+
+    def _sibling(self, presence_limit: int) -> "PackedSweep":
+        """This sweep with scratch of its own, for one worker thread.
+
+        Shares the rank index and the closure table; owns its coder
+        buffers (:meth:`PairCoder.codes` reuses one set per coder), its
+        presence table and its share of the presence budget.
+        """
+        twin = copy.copy(self)
+        twin.coder = self.coder.sibling()
+        twin._present = None
+        twin._presence_limit = presence_limit
+        return twin
 
     def _distinct(self, codes: np.ndarray, b: int) -> np.ndarray:
         """Sorted distinct ``(row << 2d) | code`` keys of one block."""
         shift = 2 * self.d
-        if (b << shift) <= _PRESENCE_LIMIT:
+        if (b << shift) <= self._presence_limit:
             if self._present is None or len(self._present) < b:
                 self._present = np.zeros((b, 1 << shift), dtype=bool)
             present = self._present[:b]
@@ -384,15 +433,58 @@ class PackedSweep:
         return self._fold(codes, b)
 
     def range_masks(self, start: int, end: int) -> np.ndarray:
-        """Block-by-block :meth:`masks` over ``[start, end)``."""
+        """Sub-block-by-sub-block :meth:`masks` over ``[start, end)``.
+
+        The sub-blocks go to up to :attr:`threads` threads, never more
+        than ``block`` or the sub-blocks there are, all joined before
+        this returns (see "Threads" above).  With one thread the calling
+        thread sweeps every block itself and no thread starts.
+        """
         if not 0 <= start < end <= self.n:
             raise ValueError(
                 f"invalid range [{start}, {end}) over {self.n} rows"
             )
         out = np.empty((end - start, words_for(self.d)), dtype=np.uint64)
-        for lo in range(start, end, self.block):
-            hi = min(end, lo + self.block)
-            out[lo - start : hi - start] = self.masks(lo, hi)
+        step = max(1, self.block // self.threads)
+        threads = min(self.threads, self.block, -(-(end - start) // step))
+        pending = collections.deque(range(start, end, step))
+        errors: List[Exception] = []
+
+        def drain(sweep: PackedSweep) -> None:
+            while True:
+                try:
+                    lo = pending.popleft()
+                except IndexError:
+                    return
+                hi = min(end, lo + step)
+                out[lo - start : hi - start] = sweep.masks(lo, hi)
+
+        def helper(sweep: PackedSweep) -> None:
+            try:
+                drain(sweep)
+            except Exception as exc:  # re-raised by the calling thread
+                pending.clear()
+                errors.append(exc)
+
+        if threads == 1:
+            sweeps = [self]
+        else:
+            share = _PRESENCE_LIMIT // threads
+            sweeps = [self._sibling(share) for _ in range(threads)]
+        helpers = [
+            threading.Thread(target=helper, args=(sweep,))
+            for sweep in sweeps[1:]
+        ]
+        for thread in helpers:
+            thread.start()
+        try:
+            drain(sweeps[0])
+        finally:
+            pending.clear()  # after an error here, stop the helpers early
+            for thread in helpers:
+                thread.join()
+        if errors:
+            raise errors[0]
         return out
 
 
@@ -474,6 +566,12 @@ class FilteredPackedSweep(PackedSweep):
         self.filter_active = (
             labels.node_count <= max(1.0, self.MAX_NODE_FRACTION * self.n)
         )
+        if self.filter_active:
+            # The prune-rate gate, the counters and the label presence
+            # table are state that depends on block order: sweep on one
+            # thread.  Gated off here, the sweep is the plain one and
+            # threads like it.
+            self.threads = 1
         self._swept = 0
         self._pairs_seen = 0
         self._pairs_pruned = 0

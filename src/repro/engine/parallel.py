@@ -435,9 +435,9 @@ def packed_point_block_task(task: Tuple) -> np.ndarray:
     (gracefully — a compiled backend missing in the worker degrades
     to the bit-identical numpy sweep) and builds, once per process per
     segment, that backend's sweep — rank-encoded comparisons plus the
-    cached closure table — returning the packed ``(end - start,
-    words)`` ``B_{p∉S}`` rows, which the parent merges into the
-    HashCube with a single
+    cached closure table, on the worker's one thread — returning the
+    packed ``(end - start, words)`` ``B_{p∉S}`` rows, which the parent
+    merges into the HashCube with a single
     :meth:`repro.core.hashcube.HashCube.from_masks` call.
     """
     from repro.engine.jit import resolve_backend
@@ -448,6 +448,9 @@ def packed_point_block_task(task: Tuple) -> np.ndarray:
     if sweep is None:
         rows = SharedDataset.attach(descriptor)
         sweep = resolve_backend(backend).sweep(rows)
+        # The pool already runs a process per worker; threads inside
+        # each would multiply past the CPU count.
+        sweep.threads = 1
         _PACKED_SWEEPS.clear()
         _PACKED_SWEEPS[key] = sweep
     return sweep.range_masks(start, end)
@@ -490,6 +493,7 @@ def filtered_point_block_task(
             cols[:, 0], cols[:, 1], cols[:, 2], k=rows.shape[1]
         )
         sweep = resolve_backend(backend).filtered_sweep(rows, labels)
+        sweep.threads = 1  # one thread per worker process, as above
         _FILTERED_SWEEPS.clear()
         _FILTERED_SWEEPS[key] = sweep
     tallies = sweep.counters
