@@ -3,8 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: lint skylint skylint-baseline skylint-sarif skylint-timing \
 	typecheck test coverage chaos bench-smoke \
-	bench-filtered serve-smoke trace-smoke shard-smoke live-smoke \
-	jit-smoke
+	bench-filtered serve-smoke trace-smoke shard-smoke live-smoke
 
 # Single entry point: ruff (when installed) + the repo-native skylint
 # pass.  Mirrors the CI lint gates.
@@ -42,19 +41,6 @@ typecheck:
 	$(PYTHON) -m mypy -p repro.core -p repro.templates -p repro.engine \
 		-p repro.analysis -p repro.serve -p repro.trace -p repro.config \
 		-p repro.shard
-
-# Compiled-backend smoke (mirrors the CI jit-smoke job; needs the
-# accel extra: pip install -e .[test,accel]).  Strict numba selection —
-# an unavailable backend FAILS rather than falling back — plus the
-# backend-parity oracle suite and the packed bench with the jit row
-# pinned to numba (bit-identity with engine=packed is asserted before
-# any timing; the 2x speedup floor applies only at full size, not at
-# --quick).
-jit-smoke:
-	$(PYTHON) -m repro backends
-	$(PYTHON) -m pytest tests/test_kernel_backends.py -q
-	$(PYTHON) -m pytest benchmarks/bench_kernels_packed.py \
-		-q --quick --backend numba --benchmark-disable
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -1,17 +1,9 @@
-"""Packed-bitset engine timings, and the compiled-backend speedup gate.
+"""Packed-bitset engine timings.
 
 Times the ``engine="packed"`` fast path of
 :func:`repro.engine.fast_skycube` at the paper's stress point
 (anticorrelated, n=20 000, d=8 — 255 subspaces, ~15 000 extended
 skyline points).
-
-A jit-backend row times the packed-filtered sweep through the selected
-kernel backend (``--backend`` pins one strictly; the default picks the
-fastest available), after asserting its cube bit-identical to
-``engine="packed"``.  With a compiled backend (numba) the row must
-clear >= 2x over the numpy packed engine at full size; on a
-numpy-only host the row is annotated as the fallback and only
-bit-identity is asserted.
 
 Two record-only rows set the threaded sweep against the alternatives:
 ``engine=packed`` with its sweep held to one thread (the CPU count
@@ -28,29 +20,16 @@ import time
 
 from repro.data.generator import generate
 from repro.engine import packed
-from repro.engine.jit import resolve_backend
 from repro.engine.kernels import fast_skycube
 from repro.experiments.report import Table
 from repro.serve import ServingSnapshot
 from repro.templates import MDMC
 
-JIT_SPEEDUP_FLOOR = 2.0
 
-
-def _pick_backend(backend_option):
-    """Resolve the bench backend: strict for an explicit choice,
-    fastest-available otherwise."""
-    if backend_option:
-        return resolve_backend(backend_option, strict=True)
-    return resolve_backend("auto")
-
-
-def test_packed_engine_speedup(benchmark, quick, backend_option, monkeypatch):
+def test_packed_engine_speedup(benchmark, quick, monkeypatch):
     n, d = (2_000, 6) if quick else (20_000, 8)
     data = generate("anticorrelated", n, d, seed=7)
     serve_n = 1_000 if quick else 6_000
-    jit = _pick_backend(backend_option)
-    compiled = jit.name != "numpy"
     threads = packed._cpu_count()
     process = MDMC(executor="process", workers=2)
 
@@ -74,17 +53,6 @@ def test_packed_engine_speedup(benchmark, quick, backend_option, monkeypatch):
         start = time.perf_counter()
         process.materialise(data)
         timings["process"] = time.perf_counter() - start
-        # Warm the jit backend (compilation is one-time, amortised over
-        # a process lifetime) and gate bit-identity BEFORE timing.
-        jit_cube = fast_skycube(
-            data, engine="packed-filtered", backend=jit.name
-        )
-        assert jit_cube.store == packed_cube.store, (
-            f"backend={jit.name!r} diverged from engine='packed'"
-        )
-        start = time.perf_counter()
-        fast_skycube(data, engine="packed-filtered", backend=jit.name)
-        timings["jit"] = time.perf_counter() - start
         start = time.perf_counter()
         snapshot = ServingSnapshot.build(data[:serve_n], engine="packed")
         timings["serve_packed"] = time.perf_counter() - start
@@ -92,23 +60,11 @@ def test_packed_engine_speedup(benchmark, quick, backend_option, monkeypatch):
         return timings
 
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-    jit_vs_packed = timings["packed"] / timings["jit"]
-    jit_label = f"packed-filtered, backend={jit.name}"
-    if not compiled:
-        jit_label += " (fallback)"
     table = Table(
         f"Packed skycube engine: anticorrelated n={n} d={d}",
         ["configuration", "seconds", "speedup vs packed"],
         notes=[
             "every row verified bit-identical to engine=packed before timing",
-            f"jit row: backend={jit.name} "
-            + (
-                f"({jit_vs_packed:.2f}x vs engine=packed; floor "
-                f"{JIT_SPEEDUP_FLOOR}x at full size)"
-                if compiled
-                else "(numpy fallback — install the accel extra for the "
-                "compiled row; no speedup floor applies)"
-            ),
             f"serve bootstrap section uses n={serve_n}",
             f"engine=packed sweeps on {threads} thread(s), one per CPU; "
             "the 1-thread and process rows are record-only",
@@ -125,11 +81,5 @@ def test_packed_engine_speedup(benchmark, quick, backend_option, monkeypatch):
         timings["process"],
         timings["packed"] / timings["process"],
     )
-    table.add_row(jit_label, timings["jit"], jit_vs_packed)
     table.add_row("serve bootstrap, packed", timings["serve_packed"], "")
     table.save("kernels_packed.txt")
-
-    # The 2x jit floor only applies when a compiled backend ran at full
-    # size; the numpy fallback row is informational.
-    if compiled and not quick:
-        assert jit_vs_packed > JIT_SPEEDUP_FLOOR, table.format()

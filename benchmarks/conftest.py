@@ -19,12 +19,7 @@ Two CI-oriented options (used by the smoke job in
 * ``--executor process`` additionally routes template materialisation
   through the real multicore backend (:mod:`repro.engine.parallel`) and
   asserts it agrees with the serial reference — a cheap end-to-end
-  guard against process-pool regressions;
-* ``--backend`` pins the kernel backend for the backend-aware benches
-  (strict: an unavailable choice fails the bench rather than silently
-  falling back — the CI jit-smoke job passes ``--backend numba`` as its
-  gate).  Without it the bench picks the fastest available backend and
-  annotates the row when that is the numpy fallback.
+  guard against process-pool regressions.
 """
 
 import os
@@ -53,15 +48,6 @@ def pytest_addoption(parser):
         )
     except ValueError:
         pass
-    try:
-        parser.addoption(
-            "--backend",
-            default=None,
-            help="kernel backend for the backend-aware benches (strict: "
-            "fails if unavailable); default picks the fastest available",
-        )
-    except ValueError:
-        pass
 
 
 @pytest.fixture
@@ -86,12 +72,6 @@ def quick_results_dir(request, tmp_path_factory, monkeypatch):
 def executor(request):
     """The execution backend under test: "serial" or "process"."""
     return request.config.getoption("--executor")
-
-
-@pytest.fixture
-def backend_option(request):
-    """Explicit ``--backend`` choice, or None for fastest-available."""
-    return request.config.getoption("--backend")
 
 
 @pytest.fixture

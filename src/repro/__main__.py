@@ -79,8 +79,7 @@ def cmd_skycube(args) -> int:
         )
     try:
         builder = _builder(
-            args.algorithm, args.executor, args.workers, args.engine,
-            args.backend,
+            args.algorithm, args.executor, args.workers, args.engine
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -90,8 +89,6 @@ def cmd_skycube(args) -> int:
     detail = "" if args.executor == "serial" else f", executor={args.executor}"
     if args.engine is not None:
         detail += f", engine={args.engine}"
-    if args.backend is not None:
-        detail += f", backend={args.backend}"
     print(
         f"materialised {len(subspaces)} subspace skylines with "
         f"{args.algorithm} ({run.counters.dominance_tests} dominance tests"
@@ -102,30 +99,6 @@ def cmd_skycube(args) -> int:
         ids = cube.skyline(delta)
         print(f"S_{delta:#b}: {len(ids)} points: "
               + " ".join(str(i) for i in ids))
-    return 0
-
-
-def cmd_backends(args) -> int:
-    """``python -m repro backends`` — probed kernel-backend matrix."""
-    from repro.engine.jit import probe_backends
-
-    probes = probe_backends(refresh=args.refresh)
-    if args.json:
-        import json as _json
-
-        print(_json.dumps([
-            {
-                "name": probe.name,
-                "available": probe.available,
-                "detail": probe.detail,
-            }
-            for probe in probes
-        ], indent=2))
-        return 0
-    width = max(len(probe.name) for probe in probes)
-    for probe in probes:
-        status = "available" if probe.available else "unavailable"
-        print(f"{probe.name:<{width}}  {status:<11}  {probe.detail}")
     return 0
 
 
@@ -208,7 +181,6 @@ def cmd_serve(args) -> int:
     # ``engine_choice`` stays None when neither flag nor profile set
     # it, so each tier can apply its own default bootstrap engine.
     engine_choice = knob(args.engine, profile.engine.engine)
-    backend_choice = knob(args.backend, profile.engine.backend)
     live = args.live or profile.serve.live
     compact_every = knob(args.compact_every, profile.serve.compact_every)
     trace_path = knob(args.trace, profile.trace.path)
@@ -235,23 +207,21 @@ def cmd_serve(args) -> int:
             "(or [serve] max_level)"
         )
     # Knobs the chosen tier never reads fail here rather than being
-    # dropped.  [engine] keys also steer build_run, so only the flags
-    # count against --snapshot and --live.
-    build_flags = args.engine is not None or args.backend is not None
+    # dropped.  [engine] keys also steer build_run, so only the flag
+    # counts against --snapshot and --live.
     if args.snapshot and max_level is not None:
         raise SystemExit(
             "--snapshot serves the saved cube as built; drop --max-level "
             "(or [serve] max_level)"
         )
-    if args.snapshot and build_flags:
+    if args.snapshot and args.engine is not None:
         raise SystemExit(
-            "--snapshot serves the saved cube as built; drop "
-            "--engine/--backend"
+            "--snapshot serves the saved cube as built; drop --engine"
         )
-    if live and build_flags:
+    if live and args.engine is not None:
         raise SystemExit(
             "--live bootstraps the maintainer's own packed sweep; drop "
-            "--engine/--backend"
+            "--engine"
         )
     if not live and (
         args.compact_every is not None
@@ -292,7 +262,7 @@ def cmd_serve(args) -> int:
             backend = ShardCoordinator(
                 data, plan,
                 engine=engine_choice or "packed-filtered",
-                max_level=max_level, backend=backend_choice,
+                max_level=max_level,
                 timeout=profile.shard.worker_timeout_s, tracer=tracer,
             )
             layout = (
@@ -324,7 +294,6 @@ def cmd_serve(args) -> int:
         else:
             backend = SnapshotHolder(ServingSnapshot.build(
                 data, max_level=max_level, engine=engine_choice or "packed",
-                backend=backend_choice,
             ))
         service = SkycubeService(
             backend,
@@ -452,7 +421,6 @@ def cmd_query(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.engine.jit import BACKEND_CHOICES, BACKEND_HELP
     from repro.engine.kernels import ENGINE_HELP, SKYCUBE_ENGINES
     from repro.shard.plan import PARTITIONER_NAMES
 
@@ -480,22 +448,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     skycube.add_argument("--engine", choices=SKYCUBE_ENGINES, default=None,
                          help="mdmc only — " + ENGINE_HELP
                               + " (default: instrumented per-point sweep)")
-    skycube.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                         help="mdmc only — " + BACKEND_HELP)
     skycube.add_argument("--show", nargs="*", default=[],
                          help="subspaces to print")
     skycube.set_defaults(handler=cmd_skycube)
-
-    backends = commands.add_parser(
-        "backends", help="list kernel backends and their probed "
-                         "availability"
-    )
-    backends.add_argument("--json", action="store_true",
-                          help="machine-readable probe results")
-    backends.add_argument("--refresh", action="store_true",
-                          help="re-run the availability probes instead "
-                               "of using cached results")
-    backends.set_defaults(handler=cmd_backends)
 
     generate = commands.add_parser("generate", help="synthetic datasets")
     generate.add_argument("distribution",
@@ -539,10 +494,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default=None,
                        help="snapshot bootstrap, default packed — "
                             + ENGINE_HELP)
-    serve.add_argument("--backend", choices=BACKEND_CHOICES,
-                       default=None,
-                       help="snapshot-build kernel backend — "
-                            + BACKEND_HELP)
     serve.add_argument("--max-level", type=int, default=None,
                        help="materialise a partial cube; higher levels "
                             "fall back to ad-hoc kernels")

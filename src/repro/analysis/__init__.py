@@ -17,7 +17,6 @@ Importing the rule modules here is what populates the registry.
 """
 
 from repro.analysis import (  # noqa: F401
-    accel,
     blocking,
     determinism,
     dominance,

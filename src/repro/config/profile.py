@@ -83,20 +83,16 @@ class ServeSection:
 
 @dataclass(frozen=True)
 class EngineSection:
-    """``[engine]`` — compute backend selection.
+    """``[engine]`` — sweep engine and executor selection.
 
     ``engine = None`` means "the consumer's own default": ``serve``
     resolves it to ``"packed"``, ``build_run`` to the instrumented
     per-point sweep — exactly what each does without a profile.
-    ``backend = None`` keeps the numpy kernel backend; any of
-    :data:`repro.engine.jit.BACKEND_CHOICES` selects a compiled one
-    (unavailable choices degrade to numpy with a warning).
     """
 
     engine: Optional[str] = None
     executor: str = "serial"
     workers: Optional[int] = None
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -218,12 +214,6 @@ def _engine(value: Any) -> Optional[str]:
     return _choice(value, SKYCUBE_ENGINES, "packed")
 
 
-def _backend(value: Any) -> Optional[str]:
-    from repro.engine.jit import BACKEND_CHOICES
-
-    return _choice(value, BACKEND_CHOICES, "numpy")
-
-
 def _partitioner(value: Any) -> Optional[str]:
     from repro.shard.plan import PARTITIONER_NAMES
 
@@ -257,7 +247,6 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Tuple[type, ...], Any]]] = {
         "engine": (_STR, _engine),
         "executor": (_STR, _executor),
         "workers": (_INT, _positive),
-        "backend": (_STR, _backend),
     },
     "filter": {
         "prefilter_min_rows": (_INT, _non_negative),

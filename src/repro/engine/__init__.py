@@ -1,12 +1,5 @@
 """Uninstrumented, vectorized fast kernels and the real parallel backend."""
 
-from repro.engine.jit import (
-    BACKEND_CHOICES,
-    BACKEND_HELP,
-    KERNEL_BACKENDS,
-    probe_backends,
-    resolve_backend,
-)
 from repro.engine.kernels import (
     ENGINE_HELP,
     SKYCUBE_ENGINES,
@@ -24,11 +17,6 @@ __all__ = [
     "label_prefilter",
     "SKYCUBE_ENGINES",
     "ENGINE_HELP",
-    "KERNEL_BACKENDS",
-    "BACKEND_CHOICES",
-    "BACKEND_HELP",
-    "probe_backends",
-    "resolve_backend",
     "ParallelExecutor",
     "SharedDataset",
 ]

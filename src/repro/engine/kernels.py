@@ -78,15 +78,10 @@ PREFILTER_MAX_PATHS = 0.25
 PREFILTER_MIN_ROWS = 512
 
 
-def _block_size(block: Optional[int], default: int = BLOCK) -> int:
-    """Resolve a block size: the keyword, else ``default``.
-
-    ``default`` varies by caller — the filter kernels use
-    :data:`BLOCK`, the packed sweeps ask the selected kernel backend
-    for its :meth:`~repro.engine.jit.KernelBackend.preferred_block`.
-    """
+def _block_size(block: Optional[int]) -> int:
+    """Resolve a filter-kernel block size: the keyword, else :data:`BLOCK`."""
     if block is None:
-        return default
+        return BLOCK
     if block < 1:
         raise ValueError(f"block size must be positive, got {block}")
     return block
@@ -295,7 +290,6 @@ def fast_skycube(
     engine: str = "packed",
     block: Optional[int] = None,
     counters: Optional[Counters] = None,
-    backend: Optional[str] = None,
 ) -> Skycube:
     """The exact skycube via the point-bitmask paradigm, vectorized.
 
@@ -314,20 +308,11 @@ def fast_skycube(
     ``d`` up to :data:`repro.engine.packed.MAX_D`; a wider dataset
     raises :class:`ValueError`.
 
-    ``backend`` selects the packed-kernel implementation (any of
-    :data:`repro.engine.jit.BACKEND_CHOICES`): ``None``/``"numpy"``
-    keep the stdlib+numpy sweep, ``"numba"`` runs the compiled kernels
-    of :mod:`repro.engine.jit` when importable (an unavailable backend
-    degrades to numpy with a warning — all backends are bit-identical),
-    ``"auto"`` picks the fastest probed one.
-
     ``counters``, when given, accumulates the filter-effectiveness
     tallies (``pairs_pruned`` / ``leaves_skipped`` / ``label_bytes`` and
     the ``prefilter_dropped`` extra); the vectorized kernels record no
     per-operation counts.
     """
-    from repro.engine.jit import resolve_backend
-
     data, _ = _validated(data, None)
     d = data.shape[1]
     packed.check_d(d)
@@ -339,14 +324,12 @@ def fast_skycube(
         )
     splus = splus_ids_for_engine(data, engine, block=block, counters=counters)
     rows = np.ascontiguousarray(data[splus])
-    kernel_backend = resolve_backend(backend)
-    sweep_block = _block_size(block, kernel_backend.preferred_block(d))
     if engine == "packed-filtered":
-        mask_rows = kernel_backend.filtered_point_masks(
-            rows, block=sweep_block, counters=counters
+        mask_rows = packed.filtered_point_masks(
+            rows, block=block, counters=counters
         )
     else:
-        mask_rows = kernel_backend.point_masks(rows, block=sweep_block)
+        mask_rows = packed.packed_point_masks(rows, block=block)
     if max_level is not None and max_level < d:
         mask_rows |= packed.unmaterialised_row(d, max_level)
     cube = HashCube.from_masks(

@@ -681,11 +681,9 @@ class FilteredPackedSweep(PackedSweep):
 def leaf_ordered(rows: np.ndarray) -> "tuple[np.ndarray, LeafLabels]":
     """``(leaf-ordered rows, labels)`` — the filtered sweeps' layout.
 
-    The shared seam between the numpy filtered sweep below and the
-    compiled backends (:mod:`repro.engine.jit`): every filtered engine
-    sweeps the same leaf-ordered rows against the same label directory,
-    so their mask rows scatter back through the same ``labels.order``
-    permutation.
+    A filtered sweep runs over the leaf-ordered rows against the label
+    directory, so its mask rows scatter back to input order through
+    the ``labels.order`` permutation.
     """
     from repro.partitioning.static_tree import LeafLabels
 

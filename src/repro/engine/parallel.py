@@ -55,6 +55,7 @@ from typing import (
 
 import numpy as np
 
+from repro.engine import packed
 from repro.hardware.schedule import lpt_assign
 
 if TYPE_CHECKING:
@@ -420,34 +421,30 @@ def cuboid_task(task: Tuple) -> Tuple[List[int], List[int]]:
 
 
 #: Per-worker packed sweep over the current shared S+ segment.  Keyed
-#: by ``(segment name, backend)`` and kept to the most recent entry: a
-#: sweep holds the rank/closure structures (derived copies, not views
-#: of the segment), so bounding the cache avoids pinning stale state if
-#: a kernel-recycled segment name ever reappears with different rows.
-_PACKED_SWEEPS: Dict[Tuple[str, Optional[str]], Any] = {}
+#: by segment name and kept to the most recent entry: a sweep holds the
+#: rank/closure structures (derived copies, not views of the segment),
+#: so bounding the cache avoids pinning stale state if a
+#: kernel-recycled segment name ever reappears with different rows.
+_PACKED_SWEEPS: Dict[str, packed.PackedSweep] = {}
 
 
 def packed_point_block_task(task: Tuple) -> np.ndarray:
     """Packed MDMC work item: uint64 mask rows for one block of S+.
 
-    ``task = (descriptor, start, end, backend)`` over a shared array
-    holding the extended-skyline rows.  The worker resolves ``backend``
-    (gracefully — a compiled backend missing in the worker degrades
-    to the bit-identical numpy sweep) and builds, once per process per
-    segment, that backend's sweep — rank-encoded comparisons plus the
-    cached closure table, on the worker's one thread — returning the
-    packed ``(end - start, words)`` ``B_{p∉S}`` rows, which the parent
-    merges into the HashCube with a single
-    :meth:`repro.core.hashcube.HashCube.from_masks` call.
+    ``task = (descriptor, start, end)`` over a shared array holding
+    the extended-skyline rows.  The worker builds, once per process per
+    segment, a :class:`~repro.engine.packed.PackedSweep` — rank-encoded
+    comparisons plus the cached closure table, on the worker's one
+    thread — returning the packed ``(end - start, words)``
+    ``B_{p∉S}`` rows, which the parent merges into the HashCube with a
+    single :meth:`repro.core.hashcube.HashCube.from_masks` call.
     """
-    from repro.engine.jit import resolve_backend
-
-    descriptor, start, end, backend = task
-    key = (descriptor[0], backend)
+    descriptor, start, end = task
+    key = descriptor[0]
     sweep = _PACKED_SWEEPS.get(key)
     if sweep is None:
         rows = SharedDataset.attach(descriptor)
-        sweep = resolve_backend(backend).sweep(rows)
+        sweep = packed.PackedSweep(rows)
         # The pool already runs a process per worker; threads inside
         # each would multiply past the CPU count.
         sweep.threads = 1
@@ -457,10 +454,10 @@ def packed_point_block_task(task: Tuple) -> np.ndarray:
 
 
 #: Per-worker filtered sweep over the current shared S+ segment, keyed
-#: by ``(rows segment name, backend)`` with the same single-entry
-#: policy as :data:`_PACKED_SWEEPS`.  The labels segment rides along in
-#: the task and is rehydrated once, when the sweep is built.
-_FILTERED_SWEEPS: Dict[Tuple[str, Optional[str]], Any] = {}
+#: by rows segment name with the same single-entry policy as
+#: :data:`_PACKED_SWEEPS`.  The labels segment rides along in the task
+#: and is rehydrated once, when the sweep is built.
+_FILTERED_SWEEPS: Dict[str, packed.FilteredPackedSweep] = {}
 
 
 def filtered_point_block_task(
@@ -468,23 +465,21 @@ def filtered_point_block_task(
 ) -> Tuple[np.ndarray, Tuple[int, int, int]]:
     """Filtered packed MDMC work item: mask rows plus pruning tallies.
 
-    ``task = (rows_descriptor, labels_descriptor, start, end,
-    backend)``.  The rows segment holds the extended skyline in *leaf
-    order*; the labels segment holds the matching ``(n, 3)`` int64
-    ``med/quart/octl`` columns, from which
+    ``task = (rows_descriptor, labels_descriptor, start, end)``.  The
+    rows segment holds the extended skyline in *leaf order*; the labels
+    segment holds the matching ``(n, 3)`` int64 ``med/quart/octl``
+    columns, from which
     :meth:`repro.partitioning.static_tree.LeafLabels.from_arrays`
     rebuilds the node directory without touching coordinates.
-    ``backend`` resolves gracefully in the worker, exactly as in
-    :func:`packed_point_block_task`.  Returns ``(mask_block,
+    Returns ``(mask_block,
     (pairs_pruned, leaves_skipped, label_bytes))`` — the counter deltas
     this block contributed, which the parent sums into its own
     :class:`~repro.instrument.counters.Counters`.
     """
-    from repro.engine.jit import resolve_backend
     from repro.partitioning.static_tree import LeafLabels
 
-    rows_descriptor, labels_descriptor, start, end, backend = task
-    key = (rows_descriptor[0], backend)
+    rows_descriptor, labels_descriptor, start, end = task
+    key = rows_descriptor[0]
     sweep = _FILTERED_SWEEPS.get(key)
     if sweep is None:
         rows = SharedDataset.attach(rows_descriptor)
@@ -492,7 +487,7 @@ def filtered_point_block_task(
         labels = LeafLabels.from_arrays(
             cols[:, 0], cols[:, 1], cols[:, 2], k=rows.shape[1]
         )
-        sweep = resolve_backend(backend).filtered_sweep(rows, labels)
+        sweep = packed.FilteredPackedSweep(rows, labels)
         sweep.threads = 1  # one thread per worker process, as above
         _FILTERED_SWEEPS.clear()
         _FILTERED_SWEEPS[key] = sweep
@@ -601,7 +596,6 @@ def parallel_packed_masks(
     rows: np.ndarray,
     executor: ParallelExecutor,
     block: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Packed ``B_{p∉S}`` rows of ``rows`` (the S+ subset), in order.
 
@@ -610,15 +604,13 @@ def parallel_packed_masks(
     workers return numpy words, so the parent merges once and never
     widens masks in Python.  Block boundaries affect only the parallel
     grain, never the masks.
-    ``backend`` ships with every task so workers build their sweeps on
-    the selected kernel backend (bit-identical across backends).
     """
     rows = np.ascontiguousarray(rows)
     n = len(rows)
     if n == 0:
-        from repro.engine.packed import words_for
-
-        return np.empty((0, words_for(max(1, rows.shape[1]))), dtype=np.uint64)
+        return np.empty(
+            (0, packed.words_for(max(1, rows.shape[1]))), dtype=np.uint64
+        )
     if block is None:
         per_worker = -(-n // max(1, executor.workers * BLOCKS_PER_WORKER))
         block = max(MIN_BLOCK, min(MAX_BLOCK, per_worker))
@@ -627,10 +619,10 @@ def parallel_packed_masks(
     with SharedDataset(rows) as shared:
         descriptor = shared.descriptor
         tasks = [
-            (descriptor, start, min(n, start + block), backend)
+            (descriptor, start, min(n, start + block))
             for start in range(0, n, block)
         ]
-        costs = [float(end - start) for _, start, end, _ in tasks]
+        costs = [float(end - start) for _, start, end in tasks]
         outputs = executor.run(packed_point_block_task, tasks, costs)
     _PACKED_SWEEPS.clear()  # parent-side fallback state dies with the segment
     return np.concatenate(outputs, axis=0)
@@ -641,7 +633,6 @@ def parallel_filtered_packed_masks(
     executor: ParallelExecutor,
     block: Optional[int] = None,
     counters: Optional["Counters"] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Filtered packed ``B_{p∉S}`` rows of ``rows`` (S+), in row order.
 
@@ -655,13 +646,14 @@ def parallel_filtered_packed_masks(
     bit-identical to the serial sweep and to ``parallel_packed_masks``.
     ``counters`` receives the summed pruning tallies from every worker.
     """
-    from repro.engine.packed import words_for
     from repro.partitioning.static_tree import LeafLabels
 
     rows = np.ascontiguousarray(rows)
     n = len(rows)
     if n == 0:
-        return np.empty((0, words_for(max(1, rows.shape[1]))), dtype=np.uint64)
+        return np.empty(
+            (0, packed.words_for(max(1, rows.shape[1]))), dtype=np.uint64
+        )
     labels = LeafLabels.build(rows)
     ordered = np.ascontiguousarray(rows[labels.order])
     columns = np.ascontiguousarray(
@@ -679,11 +671,10 @@ def parallel_filtered_packed_masks(
                 shared_labels.descriptor,
                 start,
                 min(n, start + block),
-                backend,
             )
             for start in range(0, n, block)
         ]
-        costs = [float(end - start) for _, _, start, end, _ in tasks]
+        costs = [float(end - start) for _, _, start, end in tasks]
         outputs = executor.run(filtered_point_block_task, tasks, costs)
     _FILTERED_SWEEPS.clear()  # parent-side fallback state dies with the segment
     leaf_masks = np.concatenate([masks for masks, _ in outputs], axis=0)

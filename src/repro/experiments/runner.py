@@ -50,16 +50,10 @@ def _builder(
     executor: str = "serial",
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    backend: Optional[str] = None,
 ):
     if engine is not None and not key.startswith("mdmc"):
         raise ValueError(
             f"engine={engine!r} only applies to the point-bitmask "
-            f"template (mdmc), not {key!r}"
-        )
-    if backend is not None and not key.startswith("mdmc"):
-        raise ValueError(
-            f"backend={backend!r} only applies to the point-bitmask "
             f"template (mdmc), not {key!r}"
         )
     if key == "stsc":
@@ -72,7 +66,6 @@ def _builder(
             executor=executor,
             workers=workers,
             engine=engine,
-            backend=backend,
         )
     if executor != "serial":
         raise ValueError(
@@ -101,13 +94,12 @@ def build_run(
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    backend: Optional[str] = None,
     profile: Optional["Profile"] = None,
 ) -> SkycubeRun:
     """Materialise (once) the named algorithm on a synthetic workload.
 
     ``profile`` (a frozen :class:`repro.config.Profile`, so the memo
-    key stays hashable) supplies the ``[engine]`` backend knobs for
+    key stays hashable) supplies the ``[engine]`` knobs for
     any of ``executor``/``workers``/``engine`` left as ``None`` —
     explicit arguments always win, mirroring the serve CLI's
     flag-beats-profile precedence.  All three knobs use a ``None``
@@ -126,12 +118,10 @@ def build_run(
             workers = profile.engine.workers
         if engine is None:
             engine = profile.engine.engine
-        if backend is None:
-            backend = profile.engine.backend
     if executor is None:
         executor = "serial"
     data = generate(distribution, n, d, seed=seed)
-    return _builder(algorithm, executor, workers, engine, backend).materialise(
+    return _builder(algorithm, executor, workers, engine).materialise(
         data, max_level=max_level
     )
 

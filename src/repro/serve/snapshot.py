@@ -105,24 +105,20 @@ class ServingSnapshot:
         word_width: int = HashCube.DEFAULT_WORD_WIDTH,
         engine: str = "packed",
         copy: bool = True,
-        backend: Optional[str] = None,
     ) -> "ServingSnapshot":
         """Materialise ``data`` with the vectorised engine and wrap it.
 
         ``engine`` selects the :func:`repro.engine.fast_skycube` sweep
         — any of :data:`repro.engine.SKYCUBE_ENGINES` (``"packed"``,
         the default; ``"packed-filtered"``, faster on duplicate-heavy
-        data, where its in-sweep leaf filter engages).  ``backend`` picks
-        the packed kernel backend
-        (:data:`repro.engine.jit.BACKEND_CHOICES`).  All combinations
-        produce bit-identical snapshots.
+        data, where its in-sweep leaf filter engages).  Both produce
+        bit-identical snapshots.
         """
         skycube = fast_skycube(
             data,
             max_level=max_level,
             word_width=word_width,
             engine=engine,
-            backend=backend,
         )
         cube = skycube.store
         assert isinstance(cube, HashCube)

@@ -191,7 +191,6 @@ class ShardCoordinator:
         plan: ShardPlan,
         engine: str = "packed-filtered",
         max_level: Optional[int] = None,
-        backend: Optional[str] = None,
         timeout: float = 30.0,
         tracer: Optional[Tracer] = None,
         auto_respawn: bool = True,
@@ -212,7 +211,6 @@ class ShardCoordinator:
         self.plan = plan
         self.engine = engine
         self.max_level = max_level
-        self.backend = backend
         self.timeout = float(timeout)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.auto_respawn = auto_respawn
@@ -281,7 +279,6 @@ class ShardCoordinator:
             ids=tuple(int(i) for i in self.plan.ids_of(shard)),
             engine=self.engine,
             max_level=self.max_level,
-            backend=self.backend,
         )
         ours, theirs = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(

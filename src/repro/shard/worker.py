@@ -66,10 +66,6 @@ class WorkerSpec:
     ids: Tuple[int, ...] = field(repr=False)
     engine: str = "packed-filtered"
     max_level: Optional[int] = None
-    #: Packed-kernel backend for the local snapshot build; resolves
-    #: gracefully in the worker (an unavailable backend degrades to the
-    #: bit-identical numpy sweep).
-    backend: Optional[str] = None
 
 
 class _WorkerState:
@@ -90,7 +86,7 @@ class _WorkerState:
         if len(self.view):
             self.snapshot = ServingSnapshot.build(
                 self.view, max_level=spec.max_level, engine=spec.engine,
-                copy=False, backend=spec.backend,
+                copy=False,
             )
 
     def skyline(self, delta: int) -> List[int]:

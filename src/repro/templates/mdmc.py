@@ -253,7 +253,6 @@ class MDMC(SkycubeTemplate):
         executor: str = "serial",
         workers: Optional[int] = None,
         engine: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> None:
         super().__init__(specialisation, executor, workers)
         self.word_width = word_width
@@ -272,27 +271,6 @@ class MDMC(SkycubeTemplate):
                     f"engine must be one of {SKYCUBE_ENGINES}, got {engine!r}"
                 )
         self.sweep_engine = engine
-        #: Kernel-backend selection for the packed sweeps (one of
-        #: :data:`repro.engine.jit.BACKEND_CHOICES`).  ``None`` keeps
-        #: the numpy reference; process workers ship this choice with
-        #: every task.  A compiled backend implies the vectorized
-        #: engine path, so ``backend=`` requires ``engine=`` when
-        #: serial (the instrumented per-point loop has no backends).
-        if backend is not None:
-            from repro.engine.jit import BACKEND_CHOICES
-
-            if backend not in BACKEND_CHOICES:
-                raise ValueError(
-                    f"backend must be one of {BACKEND_CHOICES}, "
-                    f"got {backend!r}"
-                )
-            if executor != "process" and engine is None:
-                raise ValueError(
-                    "backend= selects a packed-kernel backend, which the "
-                    "instrumented serial engines do not use; pass engine= "
-                    "(e.g. engine='packed-filtered') or executor='process'"
-                )
-        self.backend = backend
         if self.specialisation == "cpu":
             self.engine: "CPUPointEngine | GPUPointEngine" = CPUPointEngine()
         else:
@@ -402,7 +380,6 @@ class MDMC(SkycubeTemplate):
             bit_order=self.bit_order,
             engine=self.sweep_engine or "packed",
             counters=counters,
-            backend=self.backend,
         )
         point_ids = skycube.store.point_ids()
         counters.tasks += len(point_ids)
@@ -455,12 +432,10 @@ class MDMC(SkycubeTemplate):
         # word-splitting constructor.
         if engine == "packed-filtered":
             mask_rows = parallel_filtered_packed_masks(
-                rows, executor, counters=counters, backend=self.backend
+                rows, executor, counters=counters
             )
         else:
-            mask_rows = parallel_packed_masks(
-                rows, executor, backend=self.backend
-            )
+            mask_rows = parallel_packed_masks(rows, executor)
         if max_level is not None and max_level < d:
             mask_rows = mask_rows | packed.unmaterialised_row(d, max_level)
         hashcube = HashCube.from_masks(

@@ -116,9 +116,7 @@ class TestReproCLI:
         for argv, message in (
             (["--snapshot", snapshot, "--max-level", "1"], "drop --max-level"),
             (["--snapshot", snapshot, "--engine", "packed"], "drop --engine"),
-            (["--snapshot", snapshot, "--backend", "numpy"], "drop --engine"),
             (["--live", "--engine", "packed-filtered"], "drop --engine"),
-            (["--live", "--backend", "numpy"], "drop --engine"),
             (["--compact-every", "5"], "drop --compact-every"),
             (["--partitioner", "angular"], "drop --partitioner"),
         ):
@@ -136,6 +134,22 @@ class TestReproCLI:
             with pytest.raises(SystemExit, match=message):
                 repro_main(["serve", dataset_file,
                             "--profile", str(profile_path), *argv])
+
+    @pytest.mark.parametrize("argv, named", [
+        (["serve", "DATA", "--backend", "numpy"], "--backend"),
+        (["skycube", "DATA", "--backend", "numpy"], "--backend"),
+        (["backends"], "backends"),
+    ], ids=["serve", "skycube", "backends"])
+    def test_removed_kernel_backend_names_exit_2(
+        self, dataset_file, capsys, argv, named
+    ):
+        # The kernel-backend flag and subcommand are gone: argparse
+        # stops at startup, naming what it does not know.
+        argv = [dataset_file if arg == "DATA" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_serve_snapshot_dimension_mismatch(self, dataset_file, tmp_path):
         from repro.core.serialize import save_skycube

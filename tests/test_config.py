@@ -220,6 +220,9 @@ class TestValidation:
         ({"shard": {"partitioner": "hash"}}, "shard.partitioner"),
         ({"shard": {"worker_timeout_s": 0}}, "shard.worker_timeout_s"),
         ({"shard": {"worker_timeout_s": "slow"}}, "shard.worker_timeout_s"),
+        # The kernel-backend key is gone: a profile that still sets it
+        # fails as an unknown key rather than being ignored.
+        ({"engine": {"backend": "numpy"}}, "engine.backend"),
     ])
     def test_invalid_knob_names_the_key(self, data, named_key):
         with pytest.raises(ProfileError) as excinfo:
@@ -230,17 +233,13 @@ class TestValidation:
         with pytest.raises(ProfileError, match="did you mean 'window_ms'"):
             profile_from_dict({"serve": {"window_m": 1.0}})
 
-    def test_retired_engine_and_backend_values_get_a_suggestion(self):
-        # 'loop' and 'cupy' are no longer engines/backends: the profile
-        # fails naming the key and the choice that replaced them.
+    def test_retired_engine_values_get_a_suggestion(self):
+        # 'loop' is no longer an engine: the profile fails naming the
+        # key and the choice that replaced it.
         with pytest.raises(
             ProfileError, match=r"engine\.engine.*did you mean 'packed'"
         ):
             profile_from_dict({"engine": {"engine": "loop"}})
-        with pytest.raises(
-            ProfileError, match=r"engine\.backend.*did you mean 'numpy'"
-        ):
-            profile_from_dict({"engine": {"backend": "cupy"}})
         with pytest.raises(ProfileError, match="did you mean 'packed-filtered'"):
             profile_from_dict({"engine": {"engine": "packed-filterd"}})
 
@@ -290,9 +289,9 @@ class TestConsumers:
         calls = []
         real_builder = runner._builder
 
-        def spy(key, executor="serial", workers=None, engine=None, backend=None):
+        def spy(key, executor="serial", workers=None, engine=None):
             calls.append((key, executor, workers, engine))
-            return real_builder(key, executor, workers, engine, backend)
+            return real_builder(key, executor, workers, engine)
 
         monkeypatch.setattr(runner, "_builder", spy)
         profile = profile_from_dict({
@@ -310,9 +309,9 @@ class TestConsumers:
         calls = []
         real_builder = runner._builder
 
-        def spy(key, executor="serial", workers=None, engine=None, backend=None):
+        def spy(key, executor="serial", workers=None, engine=None):
             calls.append((key, executor, workers, engine))
-            return real_builder(key, executor, workers, engine, backend)
+            return real_builder(key, executor, workers, engine)
 
         monkeypatch.setattr(runner, "_builder", spy)
         profile = profile_from_dict({"engine": {"engine": "packed-filtered"}})
@@ -333,9 +332,9 @@ class TestConsumers:
         calls = []
         real_builder = runner._builder
 
-        def spy(key, executor="serial", workers=None, engine=None, backend=None):
+        def spy(key, executor="serial", workers=None, engine=None):
             calls.append((key, executor, workers, engine))
-            return real_builder(key, executor, workers, engine, backend)
+            return real_builder(key, executor, workers, engine)
 
         monkeypatch.setattr(runner, "_builder", spy)
         profile = profile_from_dict({"engine": {"executor": "process"}})

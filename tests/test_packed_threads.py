@@ -268,10 +268,10 @@ def test_process_tasks_start_no_thread(forced, monkeypatch):
     )
     try:
         with SharedDataset(rows) as shared:
-            masks = packed_point_block_task((shared.descriptor, 0, len(rows), None))
+            masks = packed_point_block_task((shared.descriptor, 0, len(rows)))
         with SharedDataset(ordered) as shared, SharedDataset(columns) as cols:
             leaf_masks, _ = filtered_point_block_task(
-                (shared.descriptor, cols.descriptor, 0, len(rows), None)
+                (shared.descriptor, cols.descriptor, 0, len(rows))
             )
     finally:
         _PACKED_SWEEPS.clear()

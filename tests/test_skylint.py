@@ -80,23 +80,6 @@ def test_sky501_scoped_to_engine_only():
     assert rule.applies_to("repro.engine")
 
 
-def test_sky701_accelerator_imports():
-    codes = codes_in(fixture("engine/bad_accel_import.py"))
-    assert codes == ["SKY701"] * 3  # function-scope imports are clean
-
-
-def test_sky701_exempts_jit_package():
-    from repro.analysis.accel import AcceleratorImportRule
-
-    rule = AcceleratorImportRule()
-    assert not rule.applies_to("repro.engine.jit")
-    assert not rule.applies_to("repro.engine.jit.numba_backend")
-    assert rule.applies_to("repro.engine.kernels")
-    assert rule.applies_to("repro.engine.jitter")  # prefix, not package
-    assert rule.applies_to("repro.engine.packed")
-    assert rule.applies_to("repro.templates.mdmc")
-
-
 def test_sky401_blocking_in_async():
     codes = codes_in(fixture("serve/bad_async.py"))
     assert codes == ["SKY401"] * 6
