@@ -64,6 +64,7 @@ bench-smoke:
 		benchmarks/bench_parallel_scaling.py \
 		benchmarks/bench_kernels_packed.py \
 		benchmarks/bench_filtered_packed.py \
+		benchmarks/bench_dynamic_topk.py \
 		-q --quick --executor process --benchmark-disable
 
 # Full-size filtered-vs-packed acceptance run (writes

@@ -19,9 +19,9 @@ async query ops by scatter → gather → merge:
     ``O(n/shards)`` per shard, no merge work at all.
 ``topk_dynamic``
     Scatter the query point, gather local dynamic-skyline candidates,
-    refine the transformed candidates and rank by L1 distance over the
-    active dimensions with ties by id — byte-for-byte the
-    :func:`~repro.query.dynamic.dynamic_topk` contract.
+    and answer with :func:`~repro.query.dynamic.dynamic_topk` over the
+    candidate rows in id order: the same refine and rank (L1 distance
+    over the active dimensions, ties by id) as the single process.
 
 The pipe endpoints are blocking, so every worker conversation runs in
 a thread (``asyncio.to_thread``) and the scatter is an
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import multiprocessing
 import threading
 import time
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro.engine.kernels import fast_skyline
 from repro.engine.parallel import SharedDataset
+from repro.query.dynamic import dynamic_topk
 from repro.serve.service import BackendUnavailableError, Request, UnsupportedError
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import WorkerSpec, shard_worker_main
@@ -504,14 +506,17 @@ class ShardCoordinator:
     ) -> Tuple[List[int], List[int]]:
         """``(top-k dynamic skyline ids, failed shard list)``.
 
-        The refine + rank mirrors :func:`repro.query.dynamic.dynamic_topk`
-        exactly: L1 distance over the active dimensions, ties by id.
+        The refine + rank is :func:`repro.query.dynamic.dynamic_topk`
+        over the union of the shards' candidates: their rows are in id
+        order, so its ties by row are ties by id.
         """
         query = tuple(float(v) for v in q)
         if len(query) != self.d:
             raise ValueError(
                 f"query must have {self.d} coordinates, got {len(query)}"
             )
+        if any(math.isnan(v) for v in query):
+            raise ValueError("query contains NaN")
         ok, failed, barrier_ms = await self._scatter(
             "topk_candidates", (query, delta), request_id, delta
         )
@@ -524,19 +529,8 @@ class ShardCoordinator:
             result: List[int] = []
         else:
             rows = self._reordered[self._position[candidates]]
-            transformed = np.abs(rows - np.asarray(query, dtype=np.float64))
-            survivors = fast_skyline(transformed, delta)
-            if delta is None:
-                active = transformed[survivors]
-            else:
-                dims = [j for j in range(self.d) if delta & (1 << j)]
-                active = transformed[np.ix_(survivors, dims)]
-            distance = active.sum(axis=1)
-            ranked = sorted(zip(
-                distance.tolist(),
-                (int(pid) for pid in candidates[survivors]),
-            ))
-            result = [pid for _, pid in ranked[:k]]
+            local = dynamic_topk(rows, query, k, delta)
+            result = [int(pid) for pid in candidates[local]]
         merge_ms = 1000.0 * (time.perf_counter() - merge_start)
         self._emit_merge(
             request_id, "topk_dynamic", delta, ok, failed, barrier_ms,

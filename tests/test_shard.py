@@ -157,6 +157,9 @@ class TestCoordinatorLifecycle:
             try:
                 with pytest.raises(ValueError, match="coordinates"):
                     await coordinator.topk_dynamic([1.0, 2.0], 3)
+                nan_query = [float("nan")] + [1.0] * (data.shape[1] - 1)
+                with pytest.raises(ValueError, match="NaN"):
+                    await coordinator.topk_dynamic(nan_query, 3)
                 with pytest.raises(KeyError):
                     await coordinator.membership(10_000, 1)
             finally:

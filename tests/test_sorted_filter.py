@@ -8,8 +8,12 @@ A/I/C data with exact duplicates, ties on some dimensions only and
 rows equal to a representative, on both sides of the pass's size gate
 (``2 × REPRESENTATIVES`` rows) and for block sizes that split the input
 differently.  The same filter backs ``label_prefilter``'s path-level
-pass and ``dynamic_topk``, which are checked too, and the S+ filter
-must stay reachable through its module attribute.
+pass, which is checked too, and the S+ filter must stay reachable
+through its module attribute.
+
+``dynamic_topk`` runs its own early-stop scan in distance order and
+falls back to ``fast_skyline`` past its caps; it is checked against a
+brute-force rank with its caps shrunk so that every branch runs.
 """
 
 from unittest import mock
@@ -30,6 +34,7 @@ from repro.engine.kernels import (
     label_prefilter,
 )
 from repro.instrument.counters import Counters
+from repro.query import dynamic
 from repro.query.dynamic import dynamic_topk, dynamic_transform
 
 R = REPRESENTATIVES
@@ -41,13 +46,16 @@ DISTS = ("anticorrelated", "independent", "correlated")
 def brute_force(data, delta, strict):
     """Sorted ids no row dominates in ``delta``, by all-pairs test."""
     x = np.asarray(data, dtype=np.float64)[:, dims_of(delta)]
-    # [i, j, k]: row j is below row i on dimension k.
-    below = x[None, :, :] < x[:, None, :]
-    if strict:
-        dominated = below.all(axis=2).any(axis=1)
-    else:
-        at_most = x[None, :, :] <= x[:, None, :]
-        dominated = (at_most.all(axis=2) & below.any(axis=2)).any(axis=1)
+    dominated = np.empty(len(x), dtype=bool)
+    for start in range(0, len(x), 256):
+        chunk = x[start:start + 256, None, :]
+        # [i, j, k]: row j is below chunk row i on dimension k.
+        below = x[None, :, :] < chunk
+        if strict:
+            hit = below.all(axis=2)
+        else:
+            hit = (x[None, :, :] <= chunk).all(axis=2) & below.any(axis=2)
+        dominated[start:start + 256] = hit.any(axis=1)
     return np.flatnonzero(~dominated)
 
 
@@ -156,18 +164,92 @@ def brute_force_topk(data, query, k, delta):
     return [int(pid) for _, pid in ranked[:k]]
 
 
+def topk_case(dist, n, d, seed):
+    """``hard_case`` rows plus a block of near-origin rows that are
+    permutations of one another, so their distances to the origin tie
+    in exact arithmetic and differ only by how each row is summed."""
+    data = hard_case(dist, n, d, seed)
+    gen = np.random.default_rng(seed)
+    base = gen.random(d) * 1e-3
+    perms = [gen.permutation(base) for _ in range(min(40, n // 4))]
+    if perms:
+        data[n // 4:n // 4 + len(perms)] = perms
+    return data
+
+
+#: (SCAN_BLOCK, SCAN_WINDOW, SCAN_DEPTH) settings: the defaults, then
+#: caps so small that at n = 300 blocks end inside tie groups, tie
+#: groups outgrow a block, and both the window-cap and the depth-cap
+#: fallbacks run.
+SCAN_CAPS = (None, 1, 2, 7)
+
+
+def check_topk(monkeypatch, data, query, deltas, caps=(None,)):
+    """``dynamic_topk`` equals the brute-force rank for every ``delta``,
+    every cap setting and every ``k`` around the skyline's size;
+    returns how many answers it checked."""
+    checked = 0
+    n = len(data)
+    for delta in deltas:
+        everything = brute_force_topk(data, query, n, delta)
+        size = len(everything)
+        for cap in caps:
+            with monkeypatch.context() as patched:
+                if cap is not None:
+                    for name in ("SCAN_BLOCK", "SCAN_WINDOW", "SCAN_DEPTH"):
+                        patched.setattr(dynamic, name, cap)
+                for k in sorted({1, 8, size, size + 1, n + 5}):
+                    got = dynamic_topk(data, query, k, delta)
+                    assert got == everything[:k], (delta, cap, k)
+                    checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("dist", DISTS)
-@pytest.mark.parametrize("d", (2, 5, 8))
-def test_dynamic_topk_matches_brute_force(dist, d):
-    data = hard_case(dist, 300, d, seed=40 + d)
+@pytest.mark.parametrize("d", (1, 2, 5, 8, 9, 16))
+def test_dynamic_topk_matches_brute_force(dist, d, monkeypatch):
+    full = full_space(d)
+    # The full space implicitly and explicitly, then proper subspaces:
+    # one dimension (long runs of tied distances) and all but it.
+    deltas = [None, full] + sorted({1, full ^ 1} - {0, full})
+    data = topk_case(dist, 300, d, seed=40 + d)
     gen = np.random.default_rng(d)
-    queries = [data[0], data[-1], gen.random(d)]
-    for query in queries:
-        for delta in (None, subspaces(d, seed=d)[-1]):
-            for k in (1, 8, len(data)):
-                assert dynamic_topk(data, query, k, delta) == brute_force_topk(
-                    data, query, k, delta
-                ), (k, delta)
+    jittered = np.clip(data[5] + gen.normal(0.0, 2e-4, d), 0.0, 1.0)
+    fallback = mock.Mock(wraps=dynamic._filtered_topk)
+    monkeypatch.setattr(dynamic, "_filtered_topk", fallback)
+    checked = 0
+    # data[-1] is an exact data point with a duplicate (``hard_case``).
+    for query in (data[-1], jittered, gen.random(d), np.zeros(d)):
+        checked += check_topk(monkeypatch, data, query, deltas, SCAN_CAPS)
+    # Past the default depth cap (n // 4 < 1,024 < n) at full size:
+    # a jittered point stops early, an exact data point falls back.
+    large = topk_case(dist, 3_000, d, seed=50 + d)
+    for query in (np.clip(large[9] + 1e-4, 0.0, 1.0), large[9]):
+        checked += check_topk(monkeypatch, large, query, [None, full])
+    assert 0 < fallback.call_count < checked
+    if d >= 2:
+        # Equal float distances (both exactly 1.0 from the origin), and
+        # the strict dominator has the larger id.
+        tied = np.zeros((2, d))
+        tied[:, 0] = 1.0
+        tied[:, 1] = (2e-17, 1e-17)
+        assert dynamic_topk(tied, np.zeros(d), 1) == [1]
+        check_topk(monkeypatch, tied, np.zeros(d), deltas, SCAN_CAPS)
+
+
+def test_dynamic_topk_rejects_bad_arguments_and_parses_subspaces():
+    data = hard_case("independent", 60, 3, seed=4)
+    query = data[3] + 0.01
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            dynamic_topk(data, query, k)
+    for delta in (0, full_space(3) + 1):
+        with pytest.raises(ValueError, match="subspace"):
+            dynamic_topk(data, query, 4, delta)
+    for spelling in ("0b101", "5", "0,2"):
+        assert dynamic_topk(data, query, 4, spelling) == brute_force_topk(
+            data, query, 4, 0b101
+        )
 
 
 @pytest.fixture
