@@ -65,6 +65,7 @@ bench-smoke:
 		benchmarks/bench_kernels_packed.py \
 		benchmarks/bench_filtered_packed.py \
 		benchmarks/bench_dynamic_topk.py \
+		benchmarks/bench_sorted_filter.py \
 		-q --quick --executor process --benchmark-disable
 
 # Full-size filtered-vs-packed acceptance run (writes

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bitmask import is_valid_subspace
 from repro.instrument.counters import Counters
 
 __all__ = [
@@ -446,7 +447,7 @@ class DominanceTester:
         self.data = np.asarray(data, dtype=np.float64)
         self.d = self.data.shape[1]
         self.delta = (1 << self.d) - 1 if delta is None else delta
-        if not 0 < self.delta < (1 << self.d) + (1 << self.d):
+        if not is_valid_subspace(self.delta, self.d):
             raise ValueError(f"invalid subspace mask {self.delta} for d={self.d}")
         self.counters = counters if counters is not None else Counters()
         self._delta_bits = bin(self.delta).count("1")

@@ -170,3 +170,9 @@ class TestDominanceTester:
         tester = DominanceTester(flights)
         le, lt, eq = tester.masks(1, 0)
         assert le == 0b011 and eq == 0
+
+    @pytest.mark.parametrize("delta", [0, 8, 15, 16])
+    def test_rejects_masks_outside_the_space(self, flights, delta):
+        # flights has d = 3: 8 and 15 name a fourth dimension.
+        with pytest.raises(ValueError, match="invalid subspace"):
+            DominanceTester(flights, delta=delta)
