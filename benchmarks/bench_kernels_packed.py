@@ -14,13 +14,22 @@ bit-identical to ``engine=packed`` before they are timed.
 A second section times :meth:`repro.serve.ServingSnapshot.build` at
 reduced n — the serving layer's bootstrap is the main in-repo consumer
 of the packed path.
+
+A record-only test times the sweep alone (``PackedSweep.range_masks``
+over S+, threaded and on one thread) beyond d = 8 — anticorrelated
+n = 2 000 at d = 9, 10, 12 and 16 — and on the correlated n = 20 000,
+d = 8 shape of perfbench's ``corr`` build, writing
+``results/kernels_packed_wide.txt``.
 """
 
 import time
 
+import numpy as np
+
+from repro.core.hashcube import HashCube
 from repro.data.generator import generate
 from repro.engine import packed
-from repro.engine.kernels import fast_skycube
+from repro.engine.kernels import fast_extended_skyline, fast_skycube
 from repro.experiments.report import Table
 from repro.serve import ServingSnapshot
 from repro.templates import MDMC
@@ -83,3 +92,61 @@ def test_packed_engine_speedup(benchmark, quick, monkeypatch):
     )
     table.add_row("serve bootstrap, packed", timings["serve_packed"], "")
     table.save("kernels_packed.txt")
+
+
+def test_sweep_beyond_d8(benchmark, quick, monkeypatch):
+    small = 200 if quick else 2_000
+    inputs = [
+        ("anticorrelated", small, d) for d in (9, 10, 12, 16)
+    ] + [("correlated", 2_000 if quick else 20_000, 8)]
+
+    def sweep_seconds(rows, cpus):
+        with monkeypatch.context() as patch:
+            patch.setattr(packed, "_cpu_count", lambda: cpus)
+            sweep = packed.PackedSweep(rows)
+            start = time.perf_counter()
+            masks = sweep.range_masks(0, sweep.n)
+            return time.perf_counter() - start, masks, sweep.block
+
+    def measure():
+        timings = []
+        for dist, n, d in inputs:
+            data = generate(dist, n, d, seed=7)
+            splus = fast_extended_skyline(data)
+            rows = np.ascontiguousarray(data[splus])
+            if d <= 12:
+                reference = fast_skycube(data).store
+            else:
+                # HashCube.from_masks over ~2 000 rows of 1 024 words
+                # takes minutes: check against one-row blocks that sort.
+                with monkeypatch.context() as patch:
+                    patch.setattr(packed, "_PRESENCE_LIMIT", 0)
+                    reference = packed.packed_point_masks(rows, block=1)
+            row = [f"{dist[0].upper()} n={n} d={d}", len(rows)]
+            for cpus in (packed._cpu_count(), 1):
+                # Bit-identical before timed: a first, untimed run.
+                _, masks, block = sweep_seconds(rows, cpus)
+                if d <= 12:
+                    built = HashCube.from_masks(d, splus, masks)
+                    assert built == reference, (dist, d, cpus)
+                else:
+                    assert np.array_equal(masks, reference), (dist, d, cpus)
+                row.append(sweep_seconds(rows, cpus)[0] * 1e3)
+            row.append(block)
+            timings.append(row)
+        return timings
+
+    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    table = Table(
+        "Packed sweep beyond d = 8 (PackedSweep.range_masks over S+)",
+        ["input", "|S+|", "threaded ms", "1 thread ms", "default block"],
+        notes=[
+            "record-only; every row checked bit-identical before timing: "
+            "against fast_skycube's cube up to d = 12, against one-row "
+            "blocks with sort dedup at d = 16",
+            f"threaded = one thread per CPU ({packed._cpu_count()} here)",
+        ],
+    )
+    for row in timings:
+        table.add_row(*row)
+    table.save("kernels_packed_wide.txt")

@@ -9,9 +9,9 @@ crash (or silently wrap) only at runtime, on the right input:
   members.  Every shift in :mod:`repro.engine.packed` is therefore
   carefully pre-masked (``divmod(shift, WORD_BITS)``, ``bits & 63``)
   — an invariant nothing enforced until now.
-* **Exponential table sizes.**  Presence and down-closure tables grow
-  as ``2**d`` / ``4**d``; built without the ``d <= PACKED_MAX_D``
-  guard they allocate terabytes for an innocent-looking ``d = 40``.
+* **Exponential table sizes.**  Presence, fold and down-closure tables
+  grow as ``2**d`` / ``3**d``; built without a bound on ``d`` they
+  allocate terabytes for an innocent-looking ``d = 40``.
 
 This rule runs a small interval (constant-range) analysis over each
 function — module-level integer constants, ``divmod``/``%``/``& c``
@@ -389,16 +389,17 @@ class DomainBoundsRule(ProjectRule):
     (a) ``np.uint64``-typed shifts need a count provably ``< 64``;
     (b) numpy allocations exponential in a variable need that variable
     guarded (any comparison naming it counts — ``if not 1 <= d <=
-    PACKED_MAX_D: raise`` or an enclosing ``(b << shift) <=
+    PACKED_MAX_D: raise`` or an enclosing ``b * 3**d <=
     _PRESENCE_LIMIT`` gate), unless the function is a private helper
-    with project callers (the public entry owns the bound).
+    with project callers (the public entry owns the bound).  A
+    ``3**d`` size counts two bits per unit of ``d``.
     """
 
     code = "SKY602"
     name = "bit-width-and-bounds"
     summary = (
         "uint64 shift counts must be provably < 64 and exponential "
-        "(2**d / 4**d) table allocations must be guarded by a "
+        "(2**d / 3**d / 4**d) table allocations must be guarded by a "
         "dimension bound"
     )
 
@@ -644,17 +645,19 @@ class _FunctionWalker:
             if not isinstance(node, ast.BinOp):
                 continue
             if isinstance(node.op, ast.LShift):
-                exponent = node.right
+                exponent, scale = node.right, 1
             elif isinstance(node.op, ast.Pow) and (
                 isinstance(node.left, ast.Constant)
                 and isinstance(node.left.value, int)
                 and node.left.value >= 2
             ):
+                # Bits per unit of exponent: 1 for 2**d, 2 for 3**d.
                 exponent = node.right
+                scale = (node.left.value - 1).bit_length()
             else:
                 continue
             bits = self.evaluator.range_of(exponent)
-            if bits.hi is not None and bits.hi <= _SIZE_BITS_LIMIT:
+            if bits.hi is not None and bits.hi * scale <= _SIZE_BITS_LIMIT:
                 continue
             drivers = {
                 sub.id
@@ -676,7 +679,7 @@ class _FunctionWalker:
                     call,
                     self.rule.code,
                     "exponential table allocation with no bound on "
-                    f"{names!r}: size grows as 2**{names} — guard the "
+                    f"{names!r}: size grows exponentially in {names} — guard the "
                     "dimension (e.g. `if not 1 <= d <= PACKED_MAX_D: "
                     "raise`) before allocating",
                 )

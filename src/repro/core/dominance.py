@@ -19,7 +19,7 @@ cost model consumes.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "strictly_dominates",
     "dominance_masks_vs_all",
     "dominance_pair_codes",
+    "decode_codes",
     "dominance_matrix",
     "dominated_mask",
     "mask_test",
@@ -112,15 +113,18 @@ def dominance_masks_vs_all(
 
 
 def dominance_pair_codes(data: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Packed ``le + (eq << d)`` comparison codes of a block versus ``data``.
+    """Base-3 comparison codes of a block versus ``data``.
 
     The blocked form of :func:`dominance_masks_vs_all`: entry ``[i, j]``
     encodes the relation of ``data[j]`` (as the left operand) to
-    ``block[i]``, with the ``le`` mask in the low ``d`` bits and the
-    ``eq`` mask shifted above it — a single integer key per pair, so
-    downstream consumers (the packed skycube engine) can deduplicate
-    whole blocks of comparisons with one ``np.unique``.  ``lt`` is
-    recoverable as ``le & ~eq``.
+    ``block[i]`` as ``t = Σ_k 3**k · ([data[j, k] <= block[i, k]] +
+    [data[j, k] == block[i, k]])``.  Digit ``k`` is 0 where ``data[j]``
+    is worse, 1 where it is better and 2 where they tie, so ``le`` is
+    the set of nonzero digits and ``eq`` the set of twos.  Since
+    ``eq ⊆ le``, a pair has one of only ``3**d`` codes — a single
+    integer key per pair, so downstream consumers (the packed skycube
+    engine, the maintainer's delta folds) can deduplicate whole blocks
+    of comparisons at once.
 
     This is the reference form for arbitrary ``block`` arrays; the hot
     path (repeated blocks cut from one dataset) is :class:`PairCoder`,
@@ -135,21 +139,36 @@ def dominance_pair_codes(data: np.ndarray, block: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"block has {block.shape[1]} dims but data has {d}"
         )
-    if d > 31:
-        raise ValueError(f"at most 31 dimensions fit a pair code, got {d}")
+    if d > 39:
+        raise ValueError(f"at most 39 dimensions fit a pair code, got {d}")
     codes = np.zeros((block.shape[0], data.shape[0]), dtype=np.int64)
     scratch = np.empty(codes.shape, dtype=np.int64)
     compared = np.empty(codes.shape, dtype=np.bool_)
     for k in range(d):
         column = data[:, k][None, :]
         reference = block[:, k][:, None]
-        np.less_equal(column, reference, out=compared)
-        np.multiply(compared, np.int64(1 << k), out=scratch)
-        np.bitwise_or(codes, scratch, out=codes)
-        np.equal(column, reference, out=compared)
-        np.multiply(compared, np.int64(1 << (d + k)), out=scratch)
-        np.bitwise_or(codes, scratch, out=codes)
+        weight = np.int64(3**k)
+        for relation in (np.less_equal, np.equal):
+            relation(column, reference, out=compared)
+            np.multiply(compared, weight, out=scratch)
+            np.add(codes, scratch, out=codes)
     return codes
+
+
+def decode_codes(codes: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(le, eq)`` bitmasks (int64) of base-3 comparison codes.
+
+    The inverse of :func:`dominance_pair_codes`: bit ``k`` of ``le`` is
+    set where digit ``k`` is nonzero, and of ``eq`` where it is 2.
+    """
+    rest = np.array(codes, dtype=np.int64)
+    le = np.zeros(rest.shape, dtype=np.int64)
+    eq = np.zeros(rest.shape, dtype=np.int64)
+    for k in range(d):
+        rest, digit = np.divmod(rest, 3)
+        le |= (digit != 0).astype(np.int64) << k
+        eq |= (digit == 2).astype(np.int64) << k
+    return le, eq
 
 
 def rank_columns(rows: np.ndarray) -> np.ndarray:
@@ -177,33 +196,45 @@ def rank_columns(rows: np.ndarray) -> np.ndarray:
 
 #: A column's equality pairs are enumerated from the rank index instead
 #: of a dense ``==`` sweep while the expected pairs per block row
-#: (``sum(count²) / n``) stay below this bound.
+#: (``sum(count²) / n``) stay below this bound, counted without the
+#: column's most frequent value when that value alone breaks it.
 _SPARSE_EQ_LIMIT = 64
+
+#: Dimensions per uint8 digit chunk: ``3**5 = 243`` codes fit a byte.
+_CHUNK_DIMS = 5
 
 
 class PairCoder:
     """Comparison-code generator bound to one dataset.
 
-    Emits the same ``le + (eq << d)`` codes as
-    :func:`dominance_pair_codes` for blocks *cut from the bound rows*
-    (``codes(start, end)`` is row slice ``[start, end)`` versus all
-    rows), but an order of magnitude faster:
+    Emits the same base-3 codes as :func:`dominance_pair_codes` for
+    blocks *cut from the bound rows* (``codes(start, end)`` is row slice
+    ``[start, end)`` versus all rows), but an order of magnitude faster:
 
     * columns are rank-encoded once (:func:`rank_columns`), so the d
       accumulation sweeps compare small uints instead of floats;
-    * only the ``le`` relation is swept densely.  Equal pairs are read
+    * digits accumulate on bytes: up to five dimensions (``3**5 = 243``)
+      at a time in one uint8 chunk, which Horner's rule then folds into
+      the uint32 codes;
+    * only the ``<=`` relation is swept densely.  Equal pairs are read
       off a per-column rank index (value → positions), which for
-      mostly-distinct columns is a few thousand scattered ORs instead
-      of a second ``len(block) × n`` sweep; columns with heavy value
-      duplication fall back to the dense ``==`` sweep.
+      mostly-distinct columns is a few thousand scattered adds instead
+      of a second ``len(block) × n`` sweep.  When one value holds most
+      of a column's duplicates (a clipped bound, say), the block rows
+      holding it add that value's indicator row instead, and the other
+      equal pairs stay sparse.  Columns with heavier duplication fall
+      back to the dense ``==`` sweep.
 
-    The returned code array is an internal buffer reused by the next
-    ``codes`` call — consume (or copy) it before calling again.  Threads
-    that code the same rows concurrently each take a :meth:`sibling`.
+    :meth:`keys` returns the packed sweep's dedup keys ``i · 3**d + t``
+    for block row ``i``: the row is the leading digit of the same
+    Horner fold, so it costs no extra pass.  The returned array is an
+    internal buffer reused by the next call — consume (or copy) it
+    before calling again.  Threads that code the same rows concurrently
+    each take a :meth:`sibling`.
     """
 
-    #: Widest rows a code covers: ``le`` and ``eq`` take ``d`` bits each
-    #: of a 32-bit code.
+    #: Widest rows a coder accepts, the paper's largest ``d``: a code
+    #: takes ``log2(3**16) < 26`` bits of its uint32.
     MAX_D = 16
 
     def __init__(self, rows: np.ndarray) -> None:
@@ -215,19 +246,23 @@ class PairCoder:
         n, d = rows.shape
         if d > self.MAX_D:
             raise ValueError(
-                f"PairCoder packs codes into 32 bits (d <= {self.MAX_D}), "
-                f"got d={d}"
+                f"PairCoder packs base-3 codes into 32 bits "
+                f"(d <= {self.MAX_D}), got d={d}"
             )
         self.n = n
         self.d = d
-        self.code_dtype = np.uint16 if d <= 8 else np.uint32
-        self._acc_dtype = np.uint8 if d <= 8 else np.uint16
         self.ranks = np.empty(
             (n, d), dtype=np.uint16 if n <= 0xFFFF else np.uint32
         )
         self._order = np.empty((n, d), dtype=np.intp)
         self._starts: List[np.ndarray] = []
         self._sparse_eq = np.empty(d, dtype=bool)
+        #: Per column, the rank whose rows take :attr:`_mode_rows`
+        #: instead of sparse pairs (-1: none).
+        self._mode = np.full(d, -1, dtype=np.int64)
+        #: Column -> that rank's indicator row, times its digit weight.
+        self._mode_rows: Dict[int, np.ndarray] = {}
+        limit = _SPARSE_EQ_LIMIT * n
         for k in range(d):
             _, inverse, counts = np.unique(
                 rows[:, k], return_inverse=True, return_counts=True
@@ -239,7 +274,14 @@ class PairCoder:
                 np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
             )
             squares = counts.astype(np.int64) ** 2
-            self._sparse_eq[k] = int(squares.sum()) <= _SPARSE_EQ_LIMIT * n
+            spread = int(squares.sum())
+            top = int(np.argmax(counts))
+            if spread > limit and spread - int(squares[top]) <= limit:
+                self._mode[k] = top
+                weight = np.uint8(3 ** (k % _CHUNK_DIMS))
+                self._mode_rows[k] = (inverse == top).astype(np.uint8) * weight
+                spread -= int(squares[top])
+            self._sparse_eq[k] = spread <= limit
         self._allocate(0)
 
     def sibling(self) -> "PairCoder":
@@ -251,23 +293,22 @@ class PairCoder:
 
     def _allocate(self, b: int) -> None:
         shape = (b, self.n)
-        self._le = np.empty(shape, dtype=self._acc_dtype)
-        self._eq = np.empty(shape, dtype=self._acc_dtype)
         self._cmp = np.empty(shape, dtype=np.bool_)
-        self._scratch = np.empty(shape, dtype=self._acc_dtype)
-        self._codes = np.empty(shape, dtype=self.code_dtype)
+        self._chunk = np.empty(shape, dtype=np.uint8)
+        # Keys reach b * 3**d - 1; only wide blocks at high d need more
+        # than 32 bits (d = 16 from 99 rows).
+        wide = b * 3**self.d > 1 << 32
+        self._keys = np.empty(shape, dtype=np.uint64 if wide else np.uint32)
         self._rows = b
 
-    def _buffers(self, b: int) -> None:
-        if b > self._rows:
-            self._allocate(b)
-
     def _equal_pairs(self, start: int, end: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """All ``(i, j)`` with ``rows[j, k] == rows[start + i, k]``."""
+        """All ``(i, j)`` with ``rows[j, k] == rows[start + i, k]``,
+        except where that value is the column's :attr:`_mode`."""
         starts = self._starts[k]
         r = self.ranks[start:end, k].astype(np.intp)
         lo, hi = starts[r], starts[r + 1]
         lengths = hi - lo
+        lengths[r == self._mode[k]] = 0
         total = int(lengths.sum())
         stops = np.cumsum(lengths)
         flat = (
@@ -278,45 +319,73 @@ class PairCoder:
         i_rep = np.repeat(np.arange(end - start), lengths)
         return i_rep, self._order[flat, k]
 
-    def codes(self, start: int, end: int) -> np.ndarray:
-        """``dominance_pair_codes(rows, rows[start:end])`` — fast form.
-
-        Returns a ``(end - start, n)`` array of the coder's
-        ``code_dtype`` (a reused internal buffer; see class docstring).
-        """
+    def _encode(
+        self, start: int, end: int, cols: Optional[np.ndarray], keyed: bool
+    ) -> np.ndarray:
+        """Codes of block ``[start, end)`` versus all rows or ``rows[cols]``,
+        plus ``i · 3**d`` on block row ``i`` when ``keyed``."""
         if not 0 <= start < end <= self.n:
             raise ValueError(
                 f"invalid block [{start}, {end}) over {self.n} rows"
             )
         b = end - start
         d = self.d
-        self._buffers(b)
-        acc = self._acc_dtype
-        le = self._le[:b]
-        eq = self._eq[:b]
-        compared = self._cmp[:b]
-        scratch = self._scratch[:b]
-        codes = self._codes[:b]
-        le.fill(0)
-        eq.fill(0)
-        for k in range(d):
-            column = self.ranks[:, k][None, :]
-            reference = self.ranks[start:end, k][:, None]
-            np.less_equal(column, reference, out=compared)
-            np.multiply(compared, acc(1 << k), out=scratch)
-            np.bitwise_or(le, scratch, out=le)
-            if self._sparse_eq[k]:
-                i_rep, js = self._equal_pairs(start, end, k)
-                # (i, j) pairs are distinct within one column, so the
-                # fancy read-or-write needs no unbuffered ufunc.at.
-                eq[i_rep, js] |= acc(1 << k)
+        if b > self._rows:
+            self._allocate(b)
+        if cols is None:
+            columns, m = self.ranks, self.n
+        else:
+            columns, m = self.ranks[cols], len(cols)
+        block = self.ranks[start:end]
+        compared = self._cmp[:b, :m]
+        weighted = compared.view(np.uint8)  # the bool buffer, reused
+        chunk = self._chunk[:b, :m]
+        keys = self._keys[:b, :m]
+        # Chunks from the most significant down, each folded into the
+        # keys by Horner's rule once its digits are in.
+        for low in reversed(range(0, d, _CHUNK_DIMS)):
+            high = min(d, low + _CHUNK_DIMS)
+            for k in range(low, high):
+                column = columns[:, k][None, :]
+                reference = block[:, k][:, None]
+                weight = np.uint8(3 ** (k - low))
+                if k == low:  # weight 1: compare straight into the chunk
+                    np.less_equal(column, reference, out=chunk.view(np.bool_))
+                else:
+                    np.less_equal(column, reference, out=compared)
+                    np.multiply(weighted, weight, out=weighted)
+                    np.add(chunk, weighted, out=chunk)
+                if cols is None and self._sparse_eq[k]:
+                    i_rep, js = self._equal_pairs(start, end, k)
+                    # (i, j) pairs are distinct within one column, so the
+                    # fancy read-modify-write needs no unbuffered ufunc.at.
+                    chunk[i_rep, js] += weight
+                    if self._mode[k] >= 0:
+                        hot = np.flatnonzero(block[:, k] == self._mode[k])
+                        chunk[hot] += self._mode_rows[k]
+                else:
+                    np.equal(column, reference, out=compared)
+                    if k != low:
+                        np.multiply(weighted, weight, out=weighted)
+                    np.add(chunk, weighted, out=chunk)
+            scale = keys.dtype.type(3 ** (high - low))
+            if high < d:
+                np.multiply(keys, scale, out=keys)
+                np.add(keys, chunk, out=keys)
+            elif keyed:
+                rows = np.arange(b, dtype=keys.dtype)[:, None] * scale
+                np.add(chunk, rows, out=keys)
             else:
-                np.equal(column, reference, out=compared)
-                np.multiply(compared, acc(1 << k), out=scratch)
-                np.bitwise_or(eq, scratch, out=eq)
-        np.multiply(eq, self.code_dtype(1 << d), out=codes)
-        np.bitwise_or(codes, le, out=codes)
-        return codes
+                np.copyto(keys, chunk)
+        return keys
+
+    def codes(self, start: int, end: int) -> np.ndarray:
+        """``dominance_pair_codes(rows, rows[start:end])`` — fast form.
+
+        Returns an ``(end - start, n)`` unsigned array (a reused
+        internal buffer; see class docstring).
+        """
+        return self._encode(start, end, None, keyed=False)
 
     def codes_at(self, start: int, end: int, cols: np.ndarray) -> np.ndarray:
         """Codes of block ``[start, end)`` versus ``rows[cols]`` only.
@@ -329,38 +398,19 @@ class PairCoder:
         equal-rank path would cost more than it saves.  Returns a
         reused internal buffer view, like :meth:`codes`.
         """
-        if not 0 <= start < end <= self.n:
-            raise ValueError(
-                f"invalid block [{start}, {end}) over {self.n} rows"
-            )
-        cols = np.asarray(cols, dtype=np.intp)
-        m = len(cols)
-        if m == 0:
-            return np.empty((end - start, 0), dtype=self.code_dtype)
-        b = end - start
-        d = self.d
-        self._buffers(b)
-        acc = self._acc_dtype
-        le = self._le[:b, :m]
-        eq = self._eq[:b, :m]
-        compared = self._cmp[:b, :m]
-        scratch = self._scratch[:b, :m]
-        codes = self._codes[:b, :m]
-        le.fill(0)
-        eq.fill(0)
-        gathered = self.ranks[cols]
-        for k in range(d):
-            column = gathered[:, k][None, :]
-            reference = self.ranks[start:end, k][:, None]
-            np.less_equal(column, reference, out=compared)
-            np.multiply(compared, acc(1 << k), out=scratch)
-            np.bitwise_or(le, scratch, out=le)
-            np.equal(column, reference, out=compared)
-            np.multiply(compared, acc(1 << k), out=scratch)
-            np.bitwise_or(eq, scratch, out=eq)
-        np.multiply(eq, self.code_dtype(1 << d), out=codes)
-        np.bitwise_or(codes, le, out=codes)
-        return codes
+        return self._encode(
+            start, end, np.asarray(cols, dtype=np.intp), keyed=False
+        )
+
+    def keys(
+        self, start: int, end: int, cols: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`codes` (or :meth:`codes_at` over ``cols``) plus
+        ``i · 3**d`` on block row ``i``: sorted, each row's distinct
+        keys are its distinct codes, in row order."""
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+        return self._encode(start, end, cols, keyed=True)
 
 
 def dominance_matrix(

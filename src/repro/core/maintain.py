@@ -104,7 +104,9 @@ class SkycubeMaintainer:
         check_d(d)
         self.d = d
         self.counters = counters if counters is not None else Counters()
-        self._weights = (1 << np.arange(d, dtype=np.int64))
+        #: Digit weights of base-3 comparison codes:
+        #: ``(rows <= p) @ w + (rows == p) @ w``.
+        self._w3 = 3 ** np.arange(d, dtype=np.int64)
         self._next_id = 0
         self._words = words_for(d)
         #: closure(all dimensions): every subspace bit.
@@ -277,15 +279,15 @@ class SkycubeMaintainer:
             self._maintain_structures()
             return point_id, MaskDelta(changed={point_id: 0})
 
-        weights = self._weights
+        w3 = self._w3
         # The new point's own mask: fold everyone who may dominate it.
         dominators = self._dominator_rows(point)
         own = np.zeros(self._words, dtype=np.uint64)
+        le = np.zeros((0, self.d), dtype=bool)
         if len(dominators):
             block = self._matrix[dominators]
-            lt = (block < point) @ weights
-            eq = (block == point) @ weights
-            own = fold_codes((lt + eq) | (eq << self.d), self.d)
+            le = block <= point
+            own = fold_codes(le @ w3 + (block == point) @ w3, self.d)
             self.counters.dominance_tests += len(dominators)
 
         # ...and its contribution to the points it strictly beats.
@@ -295,10 +297,7 @@ class SkycubeMaintainer:
         # and ``p`` is strictly better wherever the new point is), so
         # every bit the new point could set is already set — the whole
         # victim sweep is provably a no-op.
-        full_le = int(weights.sum())
-        covered = bool(
-            len(dominators) and ((lt + eq) == full_le).any()
-        )
+        covered = bool(le.all(axis=1).any())
         changed: Dict[int, int] = {}
         previous: Dict[int, int] = {}
         candidates = (
@@ -312,9 +311,8 @@ class SkycubeMaintainer:
             victims = candidates[beaten]
             if len(victims):
                 rows = block[beaten]
-                ge = (rows >= point) @ weights
-                eqv = (rows == point) @ weights
-                add = contribution_rows(ge, eqv, self.d)
+                codes = (rows >= point) @ w3 + (rows == point) @ w3
+                add = contribution_rows(codes, self.d)
                 old = self._mask_rows[victims]
                 new = old | add
                 moved = (new != old).any(axis=1)
@@ -392,11 +390,12 @@ class SkycubeMaintainer:
             np.empty(0, dtype=np.intp),
             np.empty((0, self._words), dtype=np.uint64),
         )
-        weights = self._weights
+        w3 = self._w3
         uncovered = self._all_bits
         recoverers = self._dominator_rows(point)
         if len(recoverers):
-            le = (self._matrix[recoverers] <= point) @ weights
+            # Digits 0 or 1 (``eq`` empty): each code folds to closure(le).
+            le = (self._matrix[recoverers] <= point) @ w3
             self.counters.dominance_tests += len(recoverers)
             uncovered = uncovered & ~delta.fold_codes(le, self.d)
         if not uncovered.any():
@@ -406,9 +405,8 @@ class SkycubeMaintainer:
         beaten = (block > point).any(axis=1)
         self.counters.dominance_tests += len(candidates)
         rows = block[beaten]
-        ge = (rows >= point) @ weights
-        eq = (rows == point) @ weights
-        open_bits = delta.contribution_rows(ge, eq, self.d) & uncovered
+        codes = (rows >= point) @ w3 + (rows == point) @ w3
+        open_bits = delta.contribution_rows(codes, self.d) & uncovered
         is_open = open_bits.any(axis=1)
         if not is_open.any():
             return nothing

@@ -24,12 +24,12 @@ representation of :mod:`repro.engine.packed`:
 
 * fold helpers — the delta analogues of the
   :class:`~repro.engine.packed.PackedSweep` refine phase, on the same
-  closure rows (:func:`~repro.engine.packed.code_rows`).
-  :func:`fold_codes` folds the distinct ``le + (eq << d)`` codes of
-  "everyone versus the new point" into the new point's own packed
-  ``B_{p∉S}`` row; :func:`contribution_rows` gathers the closure
-  contribution of the *one* mutation point against each affected row
-  (deduplicated, one closure row pair per distinct pair).
+  base-3 comparison codes and fold rows
+  (:func:`~repro.engine.packed.ternary_rows`).  :func:`fold_codes`
+  folds the distinct codes of "everyone versus the new point" into the
+  new point's own packed ``B_{p∉S}`` row; :func:`contribution_rows`
+  gathers the closure contribution of the *one* mutation point against
+  each affected row (deduplicated, one fold row per distinct code).
 
 * :func:`recompute_rows` — the delete-side re-verify.  A delete can
   only clear bits the removed point owned, so only those *open* bits
@@ -52,7 +52,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.dominance import dominance_pair_codes
-from repro.engine.packed import PackedSweep, code_rows, words_for
+from repro.engine.packed import (
+    PackedSweep,
+    fold_rows,
+    sorted_distinct,
+    ternary_rows,
+)
 from repro.instrument.counters import Counters
 from repro.partitioning.static_tree import StaticTree
 
@@ -65,7 +70,7 @@ __all__ = [
 
 
 def fold_codes(codes: np.ndarray, d: int, table: Optional[np.ndarray] = None) -> np.ndarray:
-    """One packed ``B_{p∉S}`` row from flat ``le + (eq << d)`` codes.
+    """One packed ``B_{p∉S}`` row from flat base-3 comparison codes.
 
     The single-point fold: ``codes`` holds one comparison code per
     (potential) dominator of the same target point; the distinct codes
@@ -73,32 +78,25 @@ def fold_codes(codes: np.ndarray, d: int, table: Optional[np.ndarray] = None) ->
     the whole lattice) and the contributions OR into one row.  An empty
     code array folds to the all-zero row (no dominators anywhere).
     """
-    if len(codes) == 0:
-        return np.zeros(words_for(d), dtype=np.uint64)
-    contributions = code_rows(np.unique(codes), d, table)
-    return np.bitwise_or.reduce(contributions, axis=0)
+    unique = sorted_distinct(codes)
+    return fold_rows(np.zeros(len(unique), np.intp), unique, 1, d, table)[0]
 
 
 def contribution_rows(
-    ge: np.ndarray,
-    eq: np.ndarray,
-    d: int,
-    table: Optional[np.ndarray] = None,
+    codes: np.ndarray, d: int, table: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Per-row closure contributions of one dominator, deduplicated.
 
-    ``ge[i]``/``eq[i]`` encode the relation of the mutation point to
-    affected row ``i`` (bit ``j`` of ``ge`` set iff the mutation point
-    is ``<=`` on dimension ``j``).  Returns an ``(len(ge), words)``
-    uint64 array whose row ``i`` is ``closure(ge[i]) & ~closure(eq[i])``
-    — the bits the mutation point adds to row ``i``'s mask.  Distinct
-    ``(ge, eq)`` pairs get their closure rows exactly once (the
-    duplicate-mask skipping of the batch sweep, applied to the
+    ``codes[i]`` is the base-3 code of the mutation point (as the left
+    operand) against affected row ``i``.  Returns an ``(len(codes),
+    words)`` uint64 array whose row ``i`` is ``closure(le) &
+    ~closure(eq)`` of that code — the bits the mutation point adds to
+    row ``i``'s mask.  Distinct codes get their fold rows exactly once
+    (the duplicate-mask skipping of the batch sweep, applied to the
     one-point case).
     """
-    codes = ge | (eq << d)
     unique, inverse = np.unique(codes, return_inverse=True)
-    contributions = code_rows(unique, d, table)
+    contributions = ternary_rows(unique, d, table)
     return contributions[np.asarray(inverse).ravel()]
 
 
@@ -106,8 +104,7 @@ def contribution_rows(
 #: fall back to one packed sweep.
 REVERIFY_PREFIX = 512
 
-#: Most ``rows x survivors x words`` closure gathers one streamed chunk
-#: may materialise (uint64 elements, 2 MiB).
+#: Most ``(pending row, survivor)`` pairs one streamed chunk codes.
 _CHUNK_BUDGET = 1 << 18
 
 
@@ -168,13 +165,16 @@ def recompute_rows(
     tests = 0
     start = 0
     while len(pending) and start < len(head):
-        budget = _CHUNK_BUDGET // (len(pending) * lost.shape[1])
-        step = max(1, min(start, budget))
+        step = max(1, min(start, _CHUNK_BUDGET // len(pending)))
         chunk = matrix[head[start:start + step]]
         start += len(chunk)
-        codes = dominance_pair_codes(chunk, matrix[rows[pending]])
-        tests += codes.size
-        cover = np.bitwise_or.reduce(code_rows(codes, d, table), axis=1)
+        keys = dominance_pair_codes(chunk, matrix[rows[pending]])
+        tests += keys.size
+        # Each row's distinct codes fold once (fold_rows bounds the
+        # rows it gathers at once, whatever d).
+        keys += np.arange(len(pending))[:, None] * 3**d
+        row_of, codes = np.divmod(sorted_distinct(keys), 3**d)
+        cover = fold_rows(row_of, codes, len(pending), d, table)
         left = lost[pending] & ~cover
         lost[pending] = left
         pending = pending[left.any(axis=1)]

@@ -19,21 +19,25 @@ data representation:
   ``(2**d, words)`` table (:func:`closure_table`); above it the rows a
   request needs are computed for its distinct masks and not kept.
 
-* **Code packing + blocked dedup** — a block of ``b`` points against
-  all ``n`` rows of ``S+`` yields ``b × n`` integer codes
-  ``le + (eq << d)`` (:class:`repro.core.dominance.PairCoder`, which
-  rank-encodes the rows once so the sweeps compare small uints).
-  Prefixing the block-row index gives keys whose sorted unique set is
-  exactly "the distinct pairs of each point"; one dedup per block (an
-  ``np.unique`` sort, or an O(1)-per-key presence table when the key
-  space is small) replaces ``b`` Python ``set`` constructions.
+* **Base-3 codes + blocked dedup** — a block of ``b`` points against
+  all ``n`` rows of ``S+`` yields ``b × n`` comparison codes
+  ``t = Σ_k 3**k · ([q_k <= p_k] + [q_k = p_k])``
+  (:class:`repro.core.dominance.PairCoder`, which rank-encodes the rows
+  once so the sweeps compare small uints).  Since ``eq ⊆ le`` only
+  ``3**d`` codes exist.  Prefixing the block-row index gives keys
+  ``i · 3**d + t`` whose sorted unique set is exactly "the distinct
+  pairs of each point"; one dedup per block (an O(1)-per-key
+  ``b × 3**d`` presence table while it is small, one sort otherwise)
+  replaces ``b`` Python ``set`` constructions.
 
 * **Grouped fold** — each unique pair contributes
-  ``closure[le] & ~closure[eq]`` (Definition 1 over the whole lattice,
-  :func:`code_rows`); ``np.bitwise_or.reduceat`` at the block-row
+  ``closure(le) & ~closure(eq)`` (Definition 1 over the whole lattice,
+  :func:`ternary_rows`): one gather per code from a cached
+  ``(3**d, words)`` table up to :data:`TERNARY_MAX_D`, two closure rows
+  per code above it.  ``np.bitwise_or.reduceat`` at the block-row
   boundaries folds the contributions into one packed ``B_{p∉S}`` row
-  per point.  ``le = 0`` pairs need no special-casing: ``closure(0)``
-  is all zeros.
+  per point.  ``le = 0`` pairs need no special-casing: their rows are
+  all zeros.
 
 Results are bit-identical to the per-point ``SubspaceClosures`` fold
 and the instrumented MDMC reference for every ``d`` up to
@@ -46,13 +50,14 @@ from __future__ import annotations
 
 import collections
 import copy
+import functools
 import os
 import threading
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.dominance import PairCoder
+from repro.core.dominance import PairCoder, decode_codes
 from repro.instrument.counters import Counters
 
 if TYPE_CHECKING:
@@ -64,9 +69,13 @@ __all__ = [
     "WORD_BITS",
     "check_d",
     "words_for",
+    "TERNARY_MAX_D",
     "closure_rows",
-    "code_rows",
     "closure_table",
+    "ternary_table",
+    "ternary_rows",
+    "fold_rows",
+    "sorted_distinct",
     "relevant_row",
     "unmaterialised_row",
     "row_to_int",
@@ -85,8 +94,7 @@ __all__ = [
 WORD_BITS = 64
 
 #: Largest dimensionality the engine accepts — the paper's largest
-#: ``d``, and the widest rows a 32-bit ``le + (eq << d)`` comparison
-#: code covers.
+#: ``d``, whose base-3 comparison codes take 26 bits of a uint32.
 MAX_D = PairCoder.MAX_D
 
 #: Largest dimensionality with a cached dense closure table:
@@ -95,25 +103,45 @@ MAX_D = PairCoder.MAX_D
 #: per request instead.
 PACKED_MAX_D = 14
 
-#: Default rows per pair-sweep block up to :data:`PACKED_MAX_D`: the
-#: rows in flight across all of a sweep's threads.  Peak memory is a
-#: few ``block × |S+|`` byte arrays plus ``block × 4**d`` presence-table
-#: booleans; 128 (two 64-row sub-blocks on a 2-CPU host) ran the A/C
+#: Largest dimensionality with a cached ``(3**d, words)`` fold table
+#: (:func:`ternary_table`): 7.6 MB at d = 10, where d = 11 would take
+#: 45 MB.
+TERNARY_MAX_D = 10
+
+#: Fewest rows per pair-sweep block up to :data:`PACKED_MAX_D`: the
+#: rows in flight across all of a sweep's threads.  Peak memory is
+#: 6 bytes per in-flight pair (``block × |S+|``) plus the presence
+#: tables; 128 (two 64-row sub-blocks on a 2-CPU host) ran the A/C
 #: d = 8 builds as fast as 256 at a lower peak RSS.
 DEFAULT_BLOCK = 128
 
-#: Above :data:`PACKED_MAX_D` one block gathers ``block × |S+|``
-#: computed closure rows of ``2**d / 8`` bytes each; the default block
-#: is this many bytes over one row's size (8 rows at d = 15, 4 at
-#: d = 16), which measured faster and leaner than larger blocks.
+#: A default block over a small ``S+`` grows to this many pairs in
+#: flight (``block × |S+|``, about 360 rows over the 1.4k-row ``S+``
+#: of a correlated n = 2·10^4 build): longer numpy calls per sub-block
+#: keep both threads busy.  Large ``S+`` stay at :data:`DEFAULT_BLOCK`.
+_BLOCK_PAIRS = 1 << 19
+
+#: A grown block's ``block × 3**d`` presence table stays within this
+#: many booleans (4 MiB, the size of the d = 8 table of 64 rows ×
+#: ``4**d`` that the base-3 tables replaced).
+_GROWN_PRESENCE = 1 << 22
+
+#: Above :data:`PACKED_MAX_D` the default block is this many bytes
+#: over one closure row's size (8 rows at d = 15, 4 at d = 16), sized
+#: when every distinct pair gathered a computed row of ``2**d / 8``
+#: bytes; the superset-OR fold (:func:`_superset_fold`) gathers few.
 _WIDE_BLOCK_BYTES = 1 << 15
 
-#: Presence-table dedup is used instead of an ``np.unique`` sort while
-#: the ``block * 4**d`` key space stays under this many booleans —
-#: summed over every thread of a sweep.
+#: Most uint64 words of fold rows one gather materialises (2 MiB).
+_GATHER_WORDS = 1 << 18
+
+#: Presence-table dedup is used instead of a sort while
+#: the ``block * 3**d`` key space stays under this many booleans —
+#: summed over every thread of a sweep (d <= 11 at 64-row sub-blocks).
 _PRESENCE_LIMIT = 1 << 26
 
 _TABLE_CACHE: Dict[int, np.ndarray] = {}
+_TERNARY_CACHE: Dict[int, np.ndarray] = {}
 _TABLE_LOCK = threading.Lock()
 
 _LOW = np.arange(WORD_BITS)
@@ -144,8 +172,8 @@ def check_d(d: int) -> None:
     """Reject a dimensionality the engine cannot sweep, naming the limit."""
     if not 1 <= d <= MAX_D:
         raise ValueError(
-            f"d must be in [1, {MAX_D}] (comparison codes pack le and eq "
-            f"into 32 bits), got d={d}"
+            f"d must be in [1, {MAX_D}] (comparison codes take d base-3 "
+            f"digits of 32 bits), got d={d}"
         )
 
 
@@ -156,16 +184,22 @@ def words_for(d: int) -> int:
     return -(-((1 << d) - 1) // WORD_BITS)
 
 
-def default_block(d: int) -> int:
-    """Rows per sweep block when the caller pins none.
+def default_block(d: int, n: Optional[int] = None) -> int:
+    """Rows per sweep block when the caller pins none, over ``n`` rows.
 
-    :data:`DEFAULT_BLOCK` while closure rows come from the dense table;
-    above :data:`PACKED_MAX_D` the rows a block gathers grow with
+    While closure rows come from the dense table, :data:`DEFAULT_BLOCK`
+    rows, or more over a small ``S+`` of ``n`` rows: up to
+    :data:`_BLOCK_PAIRS` pairs in flight, while the block's presence
+    table stays within :data:`_GROWN_PRESENCE` (no ``n``: the floor).
+    Above :data:`PACKED_MAX_D` the rows a block gathers grow with
     ``2**d``, so the block shrinks with them (:data:`_WIDE_BLOCK_BYTES`).
     """
-    if d <= PACKED_MAX_D:
+    if d > PACKED_MAX_D:
+        return max(1, _WIDE_BLOCK_BYTES // (8 * words_for(d)))
+    if n is None:
         return DEFAULT_BLOCK
-    return max(1, _WIDE_BLOCK_BYTES // (8 * words_for(d)))
+    grown = min(_BLOCK_PAIRS // max(n, 1), _GROWN_PRESENCE // 3**d)
+    return max(DEFAULT_BLOCK, grown)
 
 
 def _factored_rows(masks: np.ndarray, d: int) -> np.ndarray:
@@ -233,16 +267,47 @@ def closure_rows(
     return rows[np.asarray(inverse).reshape(np.shape(masks))]
 
 
-def code_rows(
+def ternary_table(d: int) -> np.ndarray:
+    """The fold table: row ``t`` is ``closure(le) & ~closure(eq)`` of
+    base-3 code ``t``, packed.
+
+    One ``(3**d, words)`` gather source for every comparison pair the
+    sweeps and the maintainer fold (:func:`ternary_rows`).  Built from
+    :func:`closure_table` once per ``d`` up to :data:`TERNARY_MAX_D`
+    and cached read-only, under the closure table's lock.
+    """
+    if not 1 <= d <= TERNARY_MAX_D:
+        raise ValueError(
+            f"d must be in [1, {TERNARY_MAX_D}] for a base-3 fold table, "
+            f"got {d}"
+        )
+    closures = closure_table(d)
+    with _TABLE_LOCK:
+        cached = _TERNARY_CACHE.get(d)
+        if cached is None:
+            le, eq = decode_codes(np.arange(3**d, dtype=np.int64), d)
+            cached = closures[le]
+            cached &= ~closures[eq]
+            cached.setflags(write=False)
+            _TERNARY_CACHE[d] = cached
+    return cached
+
+
+def ternary_rows(
     codes: np.ndarray, d: int, table: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``closure(le) & ~closure(eq)`` of every code ``le | (eq << d)``.
+    """``closure(le) & ~closure(eq)`` of every base-3 comparison code.
 
     The subspaces in which one comparison pair dominates (Definition 1
-    over the whole lattice): ``δ ⊆ le`` but not ``δ ⊆ eq``.
+    over the whole lattice): ``δ ⊆ le`` but not ``δ ⊆ eq``.  One gather
+    from :func:`ternary_table` up to :data:`TERNARY_MAX_D`; above it (or
+    when ``table`` overrides the closure table) the codes are decoded to
+    ``(le, eq)`` and two closure rows combined per code.
     """
-    rows = closure_rows(codes & ((1 << d) - 1), d, table)
-    eq = codes >> d
+    if table is None and d <= TERNARY_MAX_D:
+        return ternary_table(d)[codes]
+    le, eq = decode_codes(codes, d)
+    rows = closure_rows(le, d, table)
     if d <= PACKED_MAX_D:
         return rows & ~closure_rows(eq, d, table)
     # closure(0) is empty: only pairs tied somewhere lose bits, and
@@ -250,6 +315,98 @@ def code_rows(
     tied = eq != 0
     rows[tied] &= ~closure_rows(eq[tied], d)
     return rows
+
+
+def fold_rows(
+    row_of: np.ndarray,
+    codes: np.ndarray,
+    rows: int,
+    d: int,
+    table: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per row ``i < rows``, the OR of :func:`ternary_rows` over the
+    codes with ``row_of == i`` (``row_of`` ascending).
+
+    Up to :data:`TERNARY_MAX_D` (or with a closure ``table`` override)
+    the fold rows are gathered, at most :data:`_GATHER_WORDS` words at
+    a time, and OR-reduced per row.  Above it a superset-OR transform
+    folds the codes without a row per code (:func:`_superset_fold`),
+    and only the codes it leaves are gathered.
+    """
+    out = np.zeros((rows, words_for(d)), dtype=np.uint64)
+    if table is None and d > TERNARY_MAX_D:
+        left = _superset_fold(out, row_of, codes, d)
+        row_of, codes = row_of[left], codes[left]
+    step = max(1, _GATHER_WORDS // out.shape[1])
+    for lo in range(0, len(codes), step):
+        part = row_of[lo : lo + step]
+        starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        gathered = ternary_rows(codes[lo : lo + step], d, table)
+        out[part[starts]] |= np.bitwise_or.reduceat(gathered, starts, axis=0)
+    return out
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, flattened and sorted.
+
+    ``np.unique`` without index outputs hashes before it sorts; one sort
+    and a neighbour compare dedups these integer keys 5–15x faster.
+    """
+    flat = np.sort(keys, axis=None)
+    keep = np.ones(len(flat), dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_masks(k: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(le, eq)`` of every ``k``-digit base-3 code, frozen."""
+    le, eq = decode_codes(np.arange(3**k, dtype=np.int64), k)
+    le.setflags(write=False)
+    eq.setflags(write=False)
+    return le, eq
+
+
+def _superset_fold(
+    out: np.ndarray, row_of: np.ndarray, codes: np.ndarray, d: int
+) -> np.ndarray:
+    """OR the fold rows of ``codes`` into ``out[row_of]``, for d > 6;
+    returns which codes it left for a gather.
+
+    With ``δ = (h << 6) | l``, word ``h`` of ``closure(le)`` (empty set
+    at bit 0) is the low-closure word of ``le & 63`` where
+    ``h ⊆ le >> 6`` and zero elsewhere.  A pair tied on no high
+    dimension loses only subspaces inside word 0 to ``closure(eq)``, so
+    a row's OR over such pairs is, in words ``h > 0``, the OR over high
+    masks ``H ⊇ h`` of the low-closure words scattered at ``H``: one
+    scatter per code and ``d - 6`` passes of a superset-OR transform
+    over ``rows × 2**(d - 6)`` words, where a gather would read a whole
+    row per code.  Word 0 is folded exactly.  Pairs tied on a high
+    dimension (rare outside duplicate-heavy data) are left to the
+    caller's gather.
+    """
+    rows, words = out.shape
+    high, low = np.divmod(codes, 3**6)
+    high_le, high_eq = _digit_masks(d - 6)
+    low_le, low_eq = _digit_masks(6)
+    tied = high_eq[high] != 0
+    untied = ~tied
+    members = row_of[untied]
+    low = low[untied]
+    closed = _LOW_CLOSURES[low_le[low]]
+    spread = np.zeros(rows * words, dtype=np.uint64)
+    np.bitwise_or.at(spread, members * words + high_le[high[untied]], closed)
+    spread = spread.reshape(rows, words)
+    for j in range(d - 6):
+        pairs = spread.reshape(rows, -1, 2, 1 << j)
+        pairs[:, :, 0] |= pairs[:, :, 1]
+    first = np.zeros(rows, dtype=np.uint64)
+    np.bitwise_or.at(first, members, closed & ~_LOW_CLOSURES[low_eq[low]])
+    spread[:, 0] = first
+    # Shift to the packed layout: drop the empty set, bit δ to δ - 1.
+    out |= spread >> np.uint64(1)
+    out[:, :-1] |= spread[:, 1:] << np.uint64(WORD_BITS - 1)
+    return tied
 
 
 def _popcounts(d: int) -> np.ndarray:
@@ -329,25 +486,32 @@ class PackedSweep:
     the setup cost once.  ``table`` overrides the cached closure table
     (:func:`closure_rows`).  Per block:
 
-    1. ``coder.codes`` — the ``(b, n)`` packed ``le + (eq << d)``
-       comparison codes of the block versus every row;
-    2. dedup to each block row's distinct codes: a presence-table
-       scatter (``(b, 4**d)`` booleans, O(1) per key, reset by writing
-       back only the found keys) while that table stays under
-       :data:`_PRESENCE_LIMIT`, one ``np.unique`` sort otherwise;
-    3. gather ``closure[le] & ~closure[eq]`` per distinct pair
-       (Definition 1 over the whole lattice; ``le = 0`` rows are
-       all-zero) and fold groups with one ``np.bitwise_or.reduceat``.
+    1. ``coder.keys`` — the ``(b, n)`` base-3 comparison codes of the
+       block versus every row, block row ``i``'s offset by ``i · 3**d``;
+    2. dedup to each block row's distinct codes: a flat scatter into a
+       ``(b, 3**d)`` presence table (O(1) per key, reset by writing
+       back only the found keys) while that table stays under the
+       thread's share of :data:`_PRESENCE_LIMIT`, one sort
+       (:func:`sorted_distinct`) otherwise;
+    3. gather ``closure(le) & ~closure(eq)`` per distinct code
+       (:func:`ternary_rows`: Definition 1 over the whole lattice;
+       ``le = 0`` rows are all-zero) and fold groups with one
+       ``np.bitwise_or.reduceat``.
 
     ``rows`` must be the extended skyline ``S+``: each point compares
     against itself, so every block row owns at least one code group.
 
+    **Block.**  ``block`` pins the rows in flight; by default
+    :func:`default_block` sizes them to ``S+``.  A range shorter than
+    the block puts only its own rows in flight, but never fewer than
+    :data:`DEFAULT_BLOCK`, so its threads still share it as they share
+    a 128-row block.
+
     **Threads.**  :meth:`range_masks` splits its blocks over up to
     :attr:`threads` threads (default: the CPUs this process may run on)
-    that start and end inside the call.  ``block`` is then the rows in
-    flight across all threads, split evenly between them (at least one
-    row each, so never more threads than ``block``), and each thread
-    gets an equal share of
+    that start and end inside the call.  The rows in flight are split
+    evenly between them (at least one row each, so never more threads
+    than rows in flight), and each thread gets an equal share of
     :data:`_PRESENCE_LIMIT`, so peak memory does not grow with the CPU
     count.  Each thread sweeps with its own coder buffers and presence
     table over the one shared rank index and closure table, and writes
@@ -368,7 +532,7 @@ class PackedSweep:
             )
         self.n, self.d = rows.shape
         check_d(self.d)
-        self.block = default_block(self.d) if block is None else block
+        self.block = default_block(self.d, self.n) if block is None else block
         if self.block < 1:
             raise ValueError(f"block must be positive, got {self.block}")
         self.table = table
@@ -393,34 +557,29 @@ class PackedSweep:
         twin._presence_limit = presence_limit
         return twin
 
-    def _distinct(self, codes: np.ndarray, b: int) -> np.ndarray:
-        """Sorted distinct ``(row << 2d) | code`` keys of one block."""
-        shift = 2 * self.d
-        if (b << shift) <= self._presence_limit:
-            if self._present is None or len(self._present) < b:
-                self._present = np.zeros((b, 1 << shift), dtype=bool)
-            present = self._present[:b]
-            present[np.arange(b)[:, None], codes] = True
-            unique = np.flatnonzero(present)
-            present.reshape(-1)[unique] = False
-            return unique
-        keys = (np.arange(b, dtype=np.int64)[:, None] << shift) | codes
-        return np.unique(keys)
-
-    def _fold(self, codes: np.ndarray, b: int) -> np.ndarray:
-        """Dedup + closure-gather + grouped OR of one block's codes."""
+    def _distinct(self, keys: np.ndarray, b: int) -> np.ndarray:
+        """Sorted distinct ``i · 3**d + t`` keys of one block."""
         d = self.d
-        unique = self._distinct(codes, b)
-        shift = 2 * d
-        row_of = unique >> shift
-        contributions = code_rows(unique & ((1 << shift) - 1), d, self.table)
-        group_starts = np.flatnonzero(np.r_[True, row_of[1:] != row_of[:-1]])
-        if len(group_starts) != b:
+        if b * 3**d <= self._presence_limit:
+            if self._present is None or len(self._present) < b:
+                self._present = np.zeros((b, 3**d), dtype=bool)
+            present = self._present[:b].reshape(-1)
+            present[keys.ravel()] = True
+            unique = np.flatnonzero(present)
+            present[unique] = False
+            return unique
+        return sorted_distinct(keys)
+
+    def _fold(self, keys: np.ndarray, b: int) -> np.ndarray:
+        """Dedup + per-row fold (:func:`fold_rows`) of one block's keys."""
+        d = self.d
+        row_of, codes = np.divmod(self._distinct(keys, b), 3**d)
+        if np.count_nonzero(row_of[1:] != row_of[:-1]) != b - 1:
             raise AssertionError(
                 "pair groups do not cover the block; rows must include "
                 "the block itself (compute over S+, not a projection)"
             )
-        return np.bitwise_or.reduceat(contributions, group_starts, axis=0)
+        return fold_rows(row_of, codes, b, d, self.table)
 
     def masks(self, start: int, end: int) -> np.ndarray:
         """Packed ``B_{p∉S}`` rows of ``rows[start:end]`` vs all rows."""
@@ -428,15 +587,13 @@ class PackedSweep:
             raise ValueError(
                 f"invalid block [{start}, {end}) over {self.n} rows"
             )
-        b = end - start
-        codes = self.coder.codes(start, end)
-        return self._fold(codes, b)
+        return self._fold(self.coder.keys(start, end), end - start)
 
     def range_masks(self, start: int, end: int) -> np.ndarray:
         """Sub-block-by-sub-block :meth:`masks` over ``[start, end)``.
 
         The sub-blocks go to up to :attr:`threads` threads, never more
-        than ``block`` or the sub-blocks there are, all joined before
+        than the rows in flight or the sub-blocks there are, all joined before
         this returns (see "Threads" above).  With one thread the calling
         thread sweeps every block itself and no thread starts.
         """
@@ -445,8 +602,11 @@ class PackedSweep:
                 f"invalid range [{start}, {end}) over {self.n} rows"
             )
         out = np.empty((end - start, words_for(self.d)), dtype=np.uint64)
-        step = max(1, self.block // self.threads)
-        threads = min(self.threads, self.block, -(-(end - start) // step))
+        # A block longer than the range splits the range itself over the
+        # threads, but sub-blocks stay as long as DEFAULT_BLOCK's.
+        flight = min(self.block, max(DEFAULT_BLOCK, end - start))
+        step = max(1, flight // self.threads)
+        threads = min(self.threads, flight, -(-(end - start) // step))
         pending = collections.deque(range(start, end, step))
         errors: List[Exception] = []
 
@@ -511,7 +671,8 @@ class FilteredPackedSweep(PackedSweep):
        ``(point, node)`` pair — O(1), no subspace enumeration.  Nodes
        skippable for *every* block point drop out of the candidate
        set, shrinking the pair work handed to the coder
-       (:meth:`~repro.core.dominance.PairCoder.codes_at`);
+       (:meth:`~repro.core.dominance.PairCoder.keys` over the
+       surviving columns);
     3. **refine** — the ordinary dedup + closure fold over the
        surviving candidate columns, ORed with ``F``.
 
@@ -650,7 +811,7 @@ class FilteredPackedSweep(PackedSweep):
             # tallies — the skip analysis avoided no work this block,
             # and under-crediting is what lets the dynamic gate turn a
             # filter off when it keeps analysing without ever paying.
-            codes = self.coder.codes(start, end)
+            keys = self.coder.keys(start, end)
         else:
             surviving = np.flatnonzero(~node_skip)
             starts = labels.node_start[surviving]
@@ -662,11 +823,11 @@ class FilteredPackedSweep(PackedSweep):
                 - np.repeat(stops - lengths, lengths)
                 + np.repeat(starts, lengths)
             )
-            codes = self.coder.codes_at(start, end, cols)
+            keys = self.coder.keys(start, end, cols)
             self.counters.leaves_skipped += leaves_skipped
             self.counters.pairs_pruned += b * leaves_skipped
             self._pairs_pruned += b * leaves_skipped
-        out = self._fold(codes, b)
+        out = self._fold(keys, b)
         out |= filtered
 
         self._swept += b

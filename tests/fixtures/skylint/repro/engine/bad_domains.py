@@ -1,8 +1,8 @@
 """SKY602 fixture: uint64 shift widths and exponential table sizes.
 
 The flagged forms shift by an unproven count (numpy wraps counts >= 64)
-or allocate ``2**d`` tables with no bound on ``d``; the quiet forms use
-the repo's masking and guard idioms.
+or allocate ``2**d`` (or ``3**d``) tables with no bound on ``d``; the
+quiet forms use the repo's masking and guard idioms.
 """
 
 import numpy as np
@@ -27,6 +27,10 @@ def unguarded_power(d):
     return np.empty(4 ** d, dtype=np.uint8)  # line 27: SKY602
 
 
+def unguarded_ternary(d):
+    return np.empty(3 ** d, dtype=np.uint8)  # line 31: SKY602
+
+
 def masked_shift(bit):
     return np.uint64(1) << np.uint64(bit & 63)  # quiet: masked
 
@@ -40,3 +44,9 @@ def guarded_presence(d):
     if not 1 <= d <= MAX_DIM:
         raise ValueError(d)
     return np.zeros(1 << (2 * d), dtype=np.bool_)  # quiet: d guarded
+
+
+def guarded_ternary(d, b):
+    if b * 3 ** d > 1 << 26:
+        return None
+    return np.zeros((b, 3 ** d), dtype=np.bool_)  # quiet: d guarded

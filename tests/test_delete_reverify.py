@@ -110,3 +110,41 @@ def test_deletes_match_rebuild_and_report_exact_delta(kind, prefix, monkeypatch)
     assert changed_total > 0
     if prefix is not None:
         assert sweeps, "the fallback sweep never ran"
+
+
+def test_wide_deletes_stream_key_budgeted_chunks(monkeypatch):
+    # At d = 16 a chunk is budgeted by its (pending row, survivor) keys,
+    # not by 1024-word fold rows; a small budget makes many chunks.
+    d = 16
+    monkeypatch.setattr(delta_module, "_CHUNK_BUDGET", 1 << 12)
+    chunks = []
+    real = delta_module.dominance_pair_codes
+
+    def spy(survivors, rows):
+        chunks.append((len(survivors) * len(rows), len(rows)))
+        return real(survivors, rows)
+
+    monkeypatch.setattr(delta_module, "dominance_pair_codes", spy)
+    data = generate("independent", 60, d, seed=16)
+    data = np.vstack([data, data[:3]])  # exact duplicates
+    maintainer = SkycubeMaintainer(data)
+    live = {pid: row for pid, row in enumerate(data)}
+    rng = np.random.default_rng(16)
+    victims = [min(live, key=lambda pid: (live[pid][0], pid)), 60, 1]
+    after = maintainer_masks(maintainer)
+    for step in range(6):
+        pid = victims[step] if step < len(victims) else int(
+            rng.choice(maintainer.skyline(full_space(d)))
+        )
+        before = after
+        movement = maintainer.delete_with_delta(pid)
+        del live[pid]
+        pids = sorted(live)
+        rebuilt = SkycubeMaintainer(np.stack([live[p] for p in pids]))
+        after = dict(zip(pids, maintainer_masks(rebuilt).values()))
+        assert maintainer_masks(maintainer) == after, pid
+        expected = {q: m for q, m in after.items() if m != before[q]}
+        assert movement.changed == expected, pid
+    assert chunks and max(size for size, _ in chunks) <= 1 << 12
+    # Several survivors per chunk, where a word budget allowed one.
+    assert any(size >= 8 * rows for size, rows in chunks)

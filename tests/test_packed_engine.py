@@ -14,6 +14,8 @@ import pytest
 from repro.core.closures import SubspaceClosures
 from repro.core.dominance import (
     PairCoder,
+    comparison_masks,
+    decode_codes,
     dominance_masks_vs_all,
     dominance_pair_codes,
     rank_columns,
@@ -228,15 +230,144 @@ def test_pair_coder_validation():
 
 
 def test_pair_coder_dense_eq_fallback():
-    # One ultra-duplicated column forces the dense == sweep for it.
+    # A balanced three-valued column forces the dense == sweep for it:
+    # leaving out its most frequent value still leaves two heavy ones.
     rng = np.random.default_rng(0)
     data = np.column_stack(
-        [rng.integers(0, 2, 200).astype(float), rng.random(200)]
+        [rng.permutation(np.arange(400) % 3).astype(float), rng.random(400)]
     )
     coder = PairCoder(data)
     assert not coder._sparse_eq[0] and coder._sparse_eq[1]
+    assert (coder._mode == -1).all()
     reference = dominance_pair_codes(data, data[:50])
     assert np.array_equal(coder.codes(0, 50).astype(np.int64), reference)
+
+
+#: Every d the base-3 code paths branch on: one and several uint8
+#: digit chunks, the cached fold table's limit (10), presence-table
+#: dedup's new reach (11), a sort (12) and the widest code (16).
+CODE_DIMS = (1, 2, 5, 8, 9, 10, 11, 12, 16)
+
+#: Column shape -> (sparse ``==``, indicator row for one value).
+CODE_SHAPES = {
+    "distinct": (True, False),
+    "three": (False, False),
+    "clipped": (True, True),
+}
+
+
+def shaped_columns(shape, n, d, seed):
+    """``n × d`` data whose every column takes one equality path of the
+    coder: all distinct, three balanced values (dense ``==``), or one
+    value in 28% of rows (like the clipped zeros of a correlated S+)."""
+    rng = np.random.default_rng(seed)
+    if shape == "distinct":
+        return rng.random((n, d))
+    if shape == "three":
+        columns = [rng.permutation(np.arange(n) % 3) for _ in range(d)]
+        return np.stack(columns, axis=1).astype(float)
+    data = rng.random((n, d))
+    for k in range(d):
+        data[rng.choice(n, 28 * n // 100, replace=False), k] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("shape", sorted(CODE_SHAPES))
+@pytest.mark.parametrize("d", CODE_DIMS)
+def test_one_base3_code_format(shape, d):
+    n = 1000
+    data = shaped_columns(shape, n, d, seed=d)
+    coder = PairCoder(data)
+    sparse, indicator = CODE_SHAPES[shape]
+    assert (coder._sparse_eq == sparse).all()
+    assert ((coder._mode >= 0) == indicator).all()
+    cols = np.random.default_rng(d).choice(n, 200, replace=False)
+    # 120 rows at d = 16 need 64-bit keys.
+    for start, end in ((300, 340), (0, 120)):
+        reference = dominance_pair_codes(data, data[start:end])
+        assert 0 <= reference.min() and reference.max() < 3**d
+        assert np.array_equal(coder.codes(start, end).astype(np.int64), reference)
+        offsets = np.arange(end - start)[:, None] * 3**d
+        keys = coder.keys(start, end)
+        assert np.array_equal(keys.astype(np.int64), reference + offsets)
+        assert np.array_equal(
+            coder.codes_at(start, end, cols).astype(np.int64),
+            dominance_pair_codes(data[cols], data[start:end]),
+        )
+        assert np.array_equal(
+            coder.keys(start, end, cols).astype(np.int64),
+            reference[:, cols] + offsets,
+        )
+        le, eq = decode_codes(reference, d)
+        for i in range(end - start):
+            le_i, _, eq_i = dominance_masks_vs_all(data, data[start + i])
+            assert np.array_equal(le[i], le_i) and np.array_equal(eq[i], eq_i)
+        for i, j in ((0, 0), (1, 7), (end - start - 1, n - 1), (5, start + 5)):
+            masks = comparison_masks(data[j], data[start + i])
+            assert (int(le[i, j]), int(eq[i, j])) == (masks[0], masks[2])
+    assert keys.dtype == (np.uint64 if 120 * 3**d > 1 << 32 else np.uint32)
+
+
+@pytest.mark.parametrize("d", range(1, packed.TERNARY_MAX_D + 1))
+def test_ternary_table_equals_closure_pairs(d):
+    table = packed.ternary_table(d)
+    assert table.shape == (3**d, packed.words_for(d))
+    assert packed.ternary_table(d) is table and not table.flags.writeable
+    le, eq = decode_codes(np.arange(3**d), d)
+    closures = SubspaceClosures(d)
+    rng = np.random.default_rng(d)
+    sample = range(3**d) if d <= 6 else rng.integers(0, 3**d, 200)
+    for t in sample:
+        expected = closures.dominated_update(int(le[t]), int(eq[t]))
+        assert packed.row_to_int(table[t]) == expected, t
+    closure = packed.closure_table(d)
+    assert np.array_equal(table, closure[le] & ~closure[eq])
+    # The decode path (a closure-table override) folds the same rows.
+    codes = np.arange(3**d)
+    assert np.array_equal(packed.ternary_rows(codes, d, table=closure), table)
+    assert np.array_equal(packed.ternary_rows(codes, d), table)
+
+
+@pytest.mark.parametrize("d", [11, 12, 16])
+def test_ternary_rows_decode_above_the_table(d):
+    with pytest.raises(ValueError):
+        packed.ternary_table(d)
+    ones = sum(3**k for k in range(d))  # better everywhere, no tie
+    rng = np.random.default_rng(d)
+    codes = np.concatenate(
+        [[0, 1, 2, ones, 3**d - 1, 3**d // 2], rng.integers(0, 3**d, 24)]
+    )
+    rows = packed.ternary_rows(codes, d)
+    assert rows.shape == (len(codes), packed.words_for(d))
+    le, eq = decode_codes(codes, d)
+    closures = SubspaceClosures(d)
+    for row, le_t, eq_t in zip(rows, le.tolist(), eq.tolist()):
+        assert packed.row_to_int(row) == closures.dominated_update(le_t, eq_t)
+
+
+@pytest.mark.parametrize("d", [1, 8, 10, 11, 12, 16])
+def test_fold_rows_match_per_code_rows(d, monkeypatch):
+    # Above the fold table the rows fold by a superset-OR transform,
+    # with pairs tied on a high dimension gathered: a mix of both here,
+    # and one row (3) without codes.
+    rng = np.random.default_rng(d)
+    digits = rng.choice(3, size=(300, d), p=[0.45, 0.45, 0.1])
+    codes = np.unique(digits @ 3 ** np.arange(d))
+    row_of = np.sort(rng.choice([0, 1, 2, 4, 5, 6], len(codes)))
+    rows = packed.ternary_rows(codes, d)
+    expected = np.zeros((7, packed.words_for(d)), dtype=np.uint64)
+    for row, contribution in zip(row_of, rows):
+        expected[row] |= contribution
+    assert np.array_equal(packed.fold_rows(row_of, codes, 7, d), expected)
+    # Gathers in slices of one code fold the same rows.
+    monkeypatch.setattr(packed, "_GATHER_WORDS", 1)
+    assert np.array_equal(packed.fold_rows(row_of, codes, 7, d), expected)
+    closures = SubspaceClosures(d)
+    le, eq = decode_codes(codes[row_of == 0], d)
+    folded = 0
+    for le_t, eq_t in zip(le.tolist(), eq.tolist()):
+        folded |= closures.dominated_update(le_t, eq_t)
+    assert packed.row_to_int(expected[0]) == folded
 
 
 # -- packed point masks -------------------------------------------------

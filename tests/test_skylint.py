@@ -328,11 +328,11 @@ def test_sky601_snapshot_mutation():
 
 def test_sky602_domain_bounds():
     report = analyse_paths([fixture("engine/bad_domains.py")])
-    assert [v.code for v in report.violations] == ["SKY602"] * 4
-    assert [v.line for v in report.violations] == [15, 19, 23, 27]
+    assert [v.code for v in report.violations] == ["SKY602"] * 5
+    assert [v.line for v in report.violations] == [15, 19, 23, 27, 31]
     shifts = [v for v in report.violations if "shift count" in v.message]
     tables = [v for v in report.violations if "exponential table" in v.message]
-    assert len(shifts) == 2 and len(tables) == 2
+    assert len(shifts) == 2 and len(tables) == 3
 
 
 def test_flow_cfg_finally_runs_once_per_path():
