@@ -155,19 +155,33 @@ def dominance_pair_codes(data: np.ndarray, block: np.ndarray) -> np.ndarray:
     return codes
 
 
+#: Dimensions per uint8 digit chunk: ``3**5 = 243`` codes fit a byte.
+_CHUNK_DIMS = 5
+
+_CHUNK_DIGITS = (
+    np.arange(3**_CHUNK_DIMS)[:, None] // 3 ** np.arange(_CHUNK_DIMS) % 3
+)
+_CHUNK_BITS = 1 << np.arange(_CHUNK_DIMS, dtype=np.int64)
+
+#: ``le`` and ``eq`` bits of every code of :data:`_CHUNK_DIMS` digits.
+_CHUNK_LE = (_CHUNK_DIGITS != 0) @ _CHUNK_BITS
+_CHUNK_EQ = (_CHUNK_DIGITS == 2) @ _CHUNK_BITS
+
+
 def decode_codes(codes: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(le, eq)`` bitmasks (int64) of base-3 comparison codes.
 
     The inverse of :func:`dominance_pair_codes`: bit ``k`` of ``le`` is
     set where digit ``k`` is nonzero, and of ``eq`` where it is 2.
+    Digits are read :data:`_CHUNK_DIMS` at a time from lookup tables.
     """
     rest = np.array(codes, dtype=np.int64)
     le = np.zeros(rest.shape, dtype=np.int64)
     eq = np.zeros(rest.shape, dtype=np.int64)
-    for k in range(d):
-        rest, digit = np.divmod(rest, 3)
-        le |= (digit != 0).astype(np.int64) << k
-        eq |= (digit == 2).astype(np.int64) << k
+    for low in range(0, d, _CHUNK_DIMS):
+        rest, chunk = np.divmod(rest, 3**_CHUNK_DIMS)
+        le |= _CHUNK_LE[chunk] << low
+        eq |= _CHUNK_EQ[chunk] << low
     return le, eq
 
 
@@ -200,15 +214,12 @@ def rank_columns(rows: np.ndarray) -> np.ndarray:
 #: column's most frequent value when that value alone breaks it.
 _SPARSE_EQ_LIMIT = 64
 
-#: Dimensions per uint8 digit chunk: ``3**5 = 243`` codes fit a byte.
-_CHUNK_DIMS = 5
-
 
 class PairCoder:
     """Comparison-code generator bound to one dataset.
 
     Emits the same base-3 codes as :func:`dominance_pair_codes` for
-    blocks *cut from the bound rows* (``codes(start, end)`` is row slice
+    blocks *cut from the bound rows* (:meth:`keys` codes row slice
     ``[start, end)`` versus all rows), but an order of magnitude faster:
 
     * columns are rank-encoded once (:func:`rank_columns`), so the d
@@ -225,7 +236,7 @@ class PairCoder:
       equal pairs stay sparse.  Columns with heavier duplication fall
       back to the dense ``==`` sweep.
 
-    :meth:`keys` returns the packed sweep's dedup keys ``i · 3**d + t``
+    The codes come as the packed sweep's dedup keys ``i · 3**d + t``
     for block row ``i``: the row is the leading digit of the same
     Horner fold, so it costs no extra pass.  The returned array is an
     internal buffer reused by the next call — consume (or copy) it
@@ -319,11 +330,20 @@ class PairCoder:
         i_rep = np.repeat(np.arange(end - start), lengths)
         return i_rep, self._order[flat, k]
 
-    def _encode(
-        self, start: int, end: int, cols: Optional[np.ndarray], keyed: bool
+    def keys(
+        self, start: int, end: int, cols: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Codes of block ``[start, end)`` versus all rows or ``rows[cols]``,
-        plus ``i · 3**d`` on block row ``i`` when ``keyed``."""
+        """Codes of block ``[start, end)`` versus all rows, plus
+        ``i · 3**d`` on block row ``i``, so the block's sorted distinct
+        keys are each row's distinct codes, in row order.
+
+        Entry ``[i, j]`` relates ``rows[j]`` to ``rows[start + i]``, or
+        ``rows[cols[j]]`` when ``cols`` is given: the column-subset form
+        for callers that have already pruned the candidate set (the
+        packed engine's label filter).  Sweeps over ``cols`` are dense
+        over the gathered rank columns — with the candidate set already
+        small, the sparse equal-rank path would cost more than it saves.
+        """
         if not 0 <= start < end <= self.n:
             raise ValueError(
                 f"invalid block [{start}, {end}) over {self.n} rows"
@@ -335,6 +355,7 @@ class PairCoder:
         if cols is None:
             columns, m = self.ranks, self.n
         else:
+            cols = np.asarray(cols, dtype=np.intp)
             columns, m = self.ranks[cols], len(cols)
         block = self.ranks[start:end]
         compared = self._cmp[:b, :m]
@@ -372,45 +393,10 @@ class PairCoder:
             if high < d:
                 np.multiply(keys, scale, out=keys)
                 np.add(keys, chunk, out=keys)
-            elif keyed:
+            else:
                 rows = np.arange(b, dtype=keys.dtype)[:, None] * scale
                 np.add(chunk, rows, out=keys)
-            else:
-                np.copyto(keys, chunk)
         return keys
-
-    def codes(self, start: int, end: int) -> np.ndarray:
-        """``dominance_pair_codes(rows, rows[start:end])`` — fast form.
-
-        Returns an ``(end - start, n)`` unsigned array (a reused
-        internal buffer; see class docstring).
-        """
-        return self._encode(start, end, None, keyed=False)
-
-    def codes_at(self, start: int, end: int, cols: np.ndarray) -> np.ndarray:
-        """Codes of block ``[start, end)`` versus ``rows[cols]`` only.
-
-        The column-subset form of :meth:`codes` for callers that have
-        already pruned the candidate set (the packed engine's label
-        filter): entry ``[i, j]`` relates ``rows[cols[j]]`` to
-        ``rows[start + i]``.  Sweeps are dense over the gathered rank
-        columns — with the candidate set already small, the sparse
-        equal-rank path would cost more than it saves.  Returns a
-        reused internal buffer view, like :meth:`codes`.
-        """
-        return self._encode(
-            start, end, np.asarray(cols, dtype=np.intp), keyed=False
-        )
-
-    def keys(
-        self, start: int, end: int, cols: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """:meth:`codes` (or :meth:`codes_at` over ``cols``) plus
-        ``i · 3**d`` on block row ``i``: sorted, each row's distinct
-        keys are its distinct codes, in row order."""
-        if cols is not None:
-            cols = np.asarray(cols, dtype=np.intp)
-        return self._encode(start, end, cols, keyed=True)
 
 
 def dominance_matrix(

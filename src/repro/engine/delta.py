@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-def fold_codes(codes: np.ndarray, d: int, table: Optional[np.ndarray] = None) -> np.ndarray:
+def fold_codes(codes: np.ndarray, d: int) -> np.ndarray:
     """One packed ``B_{p∉S}`` row from flat base-3 comparison codes.
 
     The single-point fold: ``codes`` holds one comparison code per
@@ -79,12 +79,10 @@ def fold_codes(codes: np.ndarray, d: int, table: Optional[np.ndarray] = None) ->
     code array folds to the all-zero row (no dominators anywhere).
     """
     unique = sorted_distinct(codes)
-    return fold_rows(np.zeros(len(unique), np.intp), unique, 1, d, table)[0]
+    return fold_rows(np.zeros(len(unique), np.intp), unique, 1, d)[0]
 
 
-def contribution_rows(
-    codes: np.ndarray, d: int, table: Optional[np.ndarray] = None
-) -> np.ndarray:
+def contribution_rows(codes: np.ndarray, d: int) -> np.ndarray:
     """Per-row closure contributions of one dominator, deduplicated.
 
     ``codes[i]`` is the base-3 code of the mutation point (as the left
@@ -96,7 +94,7 @@ def contribution_rows(
     one-point case).
     """
     unique, inverse = np.unique(codes, return_inverse=True)
-    contributions = ternary_rows(unique, d, table)
+    contributions = ternary_rows(unique, d)
     return contributions[np.asarray(inverse).ravel()]
 
 
@@ -104,7 +102,8 @@ def contribution_rows(
 #: fall back to one packed sweep.
 REVERIFY_PREFIX = 512
 
-#: Most ``(pending row, survivor)`` pairs one streamed chunk codes.
+#: Most ``rows x survivors x words`` fold-row gathers one streamed
+#: chunk may materialise (uint64 elements, 2 MiB).
 _CHUNK_BUDGET = 1 << 18
 
 
@@ -114,7 +113,6 @@ def recompute_rows(
     survivors: np.ndarray,
     removed: np.ndarray,
     open_bits: np.ndarray,
-    table: Optional[np.ndarray] = None,
     counters: Optional[Counters] = None,
 ) -> np.ndarray:
     """The ``open_bits`` of ``matrix[rows]`` that no survivor re-covers.
@@ -165,16 +163,13 @@ def recompute_rows(
     tests = 0
     start = 0
     while len(pending) and start < len(head):
-        step = max(1, min(start, _CHUNK_BUDGET // len(pending)))
+        budget = _CHUNK_BUDGET // (len(pending) * lost.shape[1])
+        step = max(1, min(start, budget))
         chunk = matrix[head[start:start + step]]
         start += len(chunk)
-        keys = dominance_pair_codes(chunk, matrix[rows[pending]])
-        tests += keys.size
-        # Each row's distinct codes fold once (fold_rows bounds the
-        # rows it gathers at once, whatever d).
-        keys += np.arange(len(pending))[:, None] * 3**d
-        row_of, codes = np.divmod(sorted_distinct(keys), 3**d)
-        cover = fold_rows(row_of, codes, len(pending), d, table)
+        codes = dominance_pair_codes(chunk, matrix[rows[pending]])
+        tests += codes.size
+        cover = np.bitwise_or.reduce(ternary_rows(codes, d), axis=1)
         left = lost[pending] & ~cover
         lost[pending] = left
         pending = pending[left.any(axis=1)]
@@ -184,7 +179,7 @@ def recompute_rows(
         reached[head[:start]] = True
         reached[still] = True
         ordered = np.concatenate([still, survivors[~reached[survivors]]])
-        sweep = PackedSweep(matrix[ordered], table=table)
+        sweep = PackedSweep(matrix[ordered])
         lost[pending] &= ~sweep.range_masks(0, len(still))
         tests += len(still) * len(ordered)
     if counters is not None:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import collections
 import copy
-import functools
 import os
 import threading
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -126,10 +125,9 @@ _BLOCK_PAIRS = 1 << 19
 #: ``4**d`` that the base-3 tables replaced).
 _GROWN_PRESENCE = 1 << 22
 
-#: Above :data:`PACKED_MAX_D` the default block is this many bytes
-#: over one closure row's size (8 rows at d = 15, 4 at d = 16), sized
-#: when every distinct pair gathered a computed row of ``2**d / 8``
-#: bytes; the superset-OR fold (:func:`_superset_fold`) gathers few.
+#: Above :data:`PACKED_MAX_D` every distinct pair of a block gathers a
+#: computed closure row of ``2**d / 8`` bytes; the default block is
+#: this many bytes over one row's size (8 rows at d = 15, 4 at d = 16).
 _WIDE_BLOCK_BYTES = 1 << 15
 
 #: Most uint64 words of fold rows one gather materialises (2 MiB).
@@ -184,20 +182,18 @@ def words_for(d: int) -> int:
     return -(-((1 << d) - 1) // WORD_BITS)
 
 
-def default_block(d: int, n: Optional[int] = None) -> int:
+def default_block(d: int, n: int) -> int:
     """Rows per sweep block when the caller pins none, over ``n`` rows.
 
     While closure rows come from the dense table, :data:`DEFAULT_BLOCK`
     rows, or more over a small ``S+`` of ``n`` rows: up to
     :data:`_BLOCK_PAIRS` pairs in flight, while the block's presence
-    table stays within :data:`_GROWN_PRESENCE` (no ``n``: the floor).
-    Above :data:`PACKED_MAX_D` the rows a block gathers grow with
-    ``2**d``, so the block shrinks with them (:data:`_WIDE_BLOCK_BYTES`).
+    table stays within :data:`_GROWN_PRESENCE`.  Above
+    :data:`PACKED_MAX_D` the rows a block gathers grow with ``2**d``,
+    so the block shrinks with them (:data:`_WIDE_BLOCK_BYTES`).
     """
     if d > PACKED_MAX_D:
         return max(1, _WIDE_BLOCK_BYTES // (8 * words_for(d)))
-    if n is None:
-        return DEFAULT_BLOCK
     grown = min(_BLOCK_PAIRS // max(n, 1), _GROWN_PRESENCE // 3**d)
     return max(DEFAULT_BLOCK, grown)
 
@@ -251,17 +247,15 @@ def closure_table(d: int) -> np.ndarray:
     return cached
 
 
-def closure_rows(
-    masks: np.ndarray, d: int, table: Optional[np.ndarray] = None
-) -> np.ndarray:
+def closure_rows(masks: np.ndarray, d: int) -> np.ndarray:
     """Packed ``closure(m)`` of every mask, shape ``masks.shape + (words,)``.
 
-    Up to :data:`PACKED_MAX_D` a gather from the cached dense table
-    (``table`` overrides it); above it the rows of this call's distinct
-    masks are computed by the six-bit factorisation and nothing is kept.
+    Up to :data:`PACKED_MAX_D` a gather from the cached dense table;
+    above it the rows of this call's distinct masks are computed by the
+    six-bit factorisation and nothing is kept.
     """
     if d <= PACKED_MAX_D:
-        return (closure_table(d) if table is None else table)[masks]
+        return closure_table(d)[masks]
     unique, inverse = np.unique(masks, return_inverse=True)
     rows = _factored_rows(unique.astype(np.int64), d)
     return rows[np.asarray(inverse).reshape(np.shape(masks))]
@@ -293,23 +287,21 @@ def ternary_table(d: int) -> np.ndarray:
     return cached
 
 
-def ternary_rows(
-    codes: np.ndarray, d: int, table: Optional[np.ndarray] = None
-) -> np.ndarray:
+def ternary_rows(codes: np.ndarray, d: int) -> np.ndarray:
     """``closure(le) & ~closure(eq)`` of every base-3 comparison code.
 
     The subspaces in which one comparison pair dominates (Definition 1
     over the whole lattice): ``δ ⊆ le`` but not ``δ ⊆ eq``.  One gather
-    from :func:`ternary_table` up to :data:`TERNARY_MAX_D`; above it (or
-    when ``table`` overrides the closure table) the codes are decoded to
-    ``(le, eq)`` and two closure rows combined per code.
+    from :func:`ternary_table` up to :data:`TERNARY_MAX_D`; above it the
+    codes are decoded to ``(le, eq)`` and two closure rows combined per
+    code.
     """
-    if table is None and d <= TERNARY_MAX_D:
+    if d <= TERNARY_MAX_D:
         return ternary_table(d)[codes]
     le, eq = decode_codes(codes, d)
-    rows = closure_rows(le, d, table)
+    rows = closure_rows(le, d)
     if d <= PACKED_MAX_D:
-        return rows & ~closure_rows(eq, d, table)
+        return rows & ~closure_rows(eq, d)
     # closure(0) is empty: only pairs tied somewhere lose bits, and
     # computed rows cost far more than gathered ones.
     tied = eq != 0
@@ -318,30 +310,21 @@ def ternary_rows(
 
 
 def fold_rows(
-    row_of: np.ndarray,
-    codes: np.ndarray,
-    rows: int,
-    d: int,
-    table: Optional[np.ndarray] = None,
+    row_of: np.ndarray, codes: np.ndarray, rows: int, d: int
 ) -> np.ndarray:
     """Per row ``i < rows``, the OR of :func:`ternary_rows` over the
     codes with ``row_of == i`` (``row_of`` ascending).
 
-    Up to :data:`TERNARY_MAX_D` (or with a closure ``table`` override)
-    the fold rows are gathered, at most :data:`_GATHER_WORDS` words at
-    a time, and OR-reduced per row.  Above it a superset-OR transform
-    folds the codes without a row per code (:func:`_superset_fold`),
-    and only the codes it leaves are gathered.
+    The fold rows are gathered at most :data:`_GATHER_WORDS` words at a
+    time, so a slice of codes holds few rows at any ``d``, and
+    OR-reduced per row.
     """
     out = np.zeros((rows, words_for(d)), dtype=np.uint64)
-    if table is None and d > TERNARY_MAX_D:
-        left = _superset_fold(out, row_of, codes, d)
-        row_of, codes = row_of[left], codes[left]
     step = max(1, _GATHER_WORDS // out.shape[1])
     for lo in range(0, len(codes), step):
         part = row_of[lo : lo + step]
         starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
-        gathered = ternary_rows(codes[lo : lo + step], d, table)
+        gathered = ternary_rows(codes[lo : lo + step], d)
         out[part[starts]] |= np.bitwise_or.reduceat(gathered, starts, axis=0)
     return out
 
@@ -356,57 +339,6 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(len(flat), dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=keep[1:])
     return flat[keep]
-
-
-@functools.lru_cache(maxsize=None)
-def _digit_masks(k: int) -> "tuple[np.ndarray, np.ndarray]":
-    """``(le, eq)`` of every ``k``-digit base-3 code, frozen."""
-    le, eq = decode_codes(np.arange(3**k, dtype=np.int64), k)
-    le.setflags(write=False)
-    eq.setflags(write=False)
-    return le, eq
-
-
-def _superset_fold(
-    out: np.ndarray, row_of: np.ndarray, codes: np.ndarray, d: int
-) -> np.ndarray:
-    """OR the fold rows of ``codes`` into ``out[row_of]``, for d > 6;
-    returns which codes it left for a gather.
-
-    With ``δ = (h << 6) | l``, word ``h`` of ``closure(le)`` (empty set
-    at bit 0) is the low-closure word of ``le & 63`` where
-    ``h ⊆ le >> 6`` and zero elsewhere.  A pair tied on no high
-    dimension loses only subspaces inside word 0 to ``closure(eq)``, so
-    a row's OR over such pairs is, in words ``h > 0``, the OR over high
-    masks ``H ⊇ h`` of the low-closure words scattered at ``H``: one
-    scatter per code and ``d - 6`` passes of a superset-OR transform
-    over ``rows × 2**(d - 6)`` words, where a gather would read a whole
-    row per code.  Word 0 is folded exactly.  Pairs tied on a high
-    dimension (rare outside duplicate-heavy data) are left to the
-    caller's gather.
-    """
-    rows, words = out.shape
-    high, low = np.divmod(codes, 3**6)
-    high_le, high_eq = _digit_masks(d - 6)
-    low_le, low_eq = _digit_masks(6)
-    tied = high_eq[high] != 0
-    untied = ~tied
-    members = row_of[untied]
-    low = low[untied]
-    closed = _LOW_CLOSURES[low_le[low]]
-    spread = np.zeros(rows * words, dtype=np.uint64)
-    np.bitwise_or.at(spread, members * words + high_le[high[untied]], closed)
-    spread = spread.reshape(rows, words)
-    for j in range(d - 6):
-        pairs = spread.reshape(rows, -1, 2, 1 << j)
-        pairs[:, :, 0] |= pairs[:, :, 1]
-    first = np.zeros(rows, dtype=np.uint64)
-    np.bitwise_or.at(first, members, closed & ~_LOW_CLOSURES[low_eq[low]])
-    spread[:, 0] = first
-    # Shift to the packed layout: drop the empty set, bit δ to δ - 1.
-    out |= spread >> np.uint64(1)
-    out[:, :-1] |= spread[:, 1:] << np.uint64(WORD_BITS - 1)
-    return tied
 
 
 def _popcounts(d: int) -> np.ndarray:
@@ -483,8 +415,7 @@ class PackedSweep:
     Binds a :class:`~repro.core.dominance.PairCoder` (rank-encoded
     comparisons) and the dedup scratch buffers, so a multi-block sweep
     — whether the whole of ``S+`` or one worker's slice of it — pays
-    the setup cost once.  ``table`` overrides the cached closure table
-    (:func:`closure_rows`).  Per block:
+    the setup cost once.  Per block:
 
     1. ``coder.keys`` — the ``(b, n)`` base-3 comparison codes of the
        block versus every row, block row ``i``'s offset by ``i · 3**d``;
@@ -519,12 +450,7 @@ class PackedSweep:
     bit-identical to the serial sweep whatever the scheduling.
     """
 
-    def __init__(
-        self,
-        rows: np.ndarray,
-        block: Optional[int] = None,
-        table: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, rows: np.ndarray, block: Optional[int] = None) -> None:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError(
@@ -535,7 +461,6 @@ class PackedSweep:
         self.block = default_block(self.d, self.n) if block is None else block
         if self.block < 1:
             raise ValueError(f"block must be positive, got {self.block}")
-        self.table = table
         self.coder = PairCoder(rows)
         #: Most threads :meth:`range_masks` runs on; 1 keeps it on the
         #: calling thread (process-pool workers set it, so threads and
@@ -548,7 +473,7 @@ class PackedSweep:
         """This sweep with scratch of its own, for one worker thread.
 
         Shares the rank index and the closure table; owns its coder
-        buffers (:meth:`PairCoder.codes` reuses one set per coder), its
+        buffers (:meth:`PairCoder.keys` reuses one set per coder), its
         presence table and its share of the presence budget.
         """
         twin = copy.copy(self)
@@ -573,13 +498,16 @@ class PackedSweep:
     def _fold(self, keys: np.ndarray, b: int) -> np.ndarray:
         """Dedup + per-row fold (:func:`fold_rows`) of one block's keys."""
         d = self.d
-        row_of, codes = np.divmod(self._distinct(keys, b), 3**d)
+        # Keys are uint64 once b * 3**d > 2**32, and numpy turns uint64
+        # next to int64 into float64: the fold gets intp rows and codes.
+        distinct = self._distinct(keys, b).astype(np.intp, copy=False)
+        row_of, codes = np.divmod(distinct, 3**d)
         if np.count_nonzero(row_of[1:] != row_of[:-1]) != b - 1:
             raise AssertionError(
                 "pair groups do not cover the block; rows must include "
                 "the block itself (compute over S+, not a projection)"
             )
-        return fold_rows(row_of, codes, b, d, self.table)
+        return fold_rows(row_of, codes, b, d)
 
     def masks(self, start: int, end: int) -> np.ndarray:
         """Packed ``B_{p∉S}`` rows of ``rows[start:end]`` vs all rows."""
@@ -710,10 +638,9 @@ class FilteredPackedSweep(PackedSweep):
         rows: np.ndarray,
         labels: "LeafLabels",
         block: Optional[int] = None,
-        table: Optional[np.ndarray] = None,
         counters: Optional[Counters] = None,
     ) -> None:
-        super().__init__(rows, block=block, table=table)
+        super().__init__(rows, block=block)
         if len(labels) != self.n:
             raise ValueError(
                 f"labels cover {len(labels)} points but rows have {self.n}"
@@ -765,7 +692,7 @@ class FilteredPackedSweep(PackedSweep):
             keys = (np.arange(b, dtype=np.int64)[:, None] << d) | strict
             unique = np.unique(keys)
         row_of = unique >> d
-        contributions = closure_rows(unique & ((1 << d) - 1), d, self.table)
+        contributions = closure_rows(unique & ((1 << d) - 1), d)
         group_starts = np.flatnonzero(np.r_[True, row_of[1:] != row_of[:-1]])
         # Every row owns at least one key (t = 0 folds the all-zero
         # closure row), so the groups always cover the block.
@@ -860,7 +787,6 @@ def leaf_ordered(rows: np.ndarray) -> "tuple[np.ndarray, LeafLabels]":
 def filtered_point_masks(
     rows: np.ndarray,
     block: Optional[int] = None,
-    table: Optional[np.ndarray] = None,
     counters: Optional[Counters] = None,
 ) -> np.ndarray:
     """Packed ``B_{p∉S}`` of every row of ``rows`` via the label filter.
@@ -873,35 +799,24 @@ def filtered_point_masks(
     effectiveness tallies.
     """
     ordered, labels = leaf_ordered(rows)
-    sweep = FilteredPackedSweep(
-        ordered, labels, block=block, table=table, counters=counters
-    )
+    sweep = FilteredPackedSweep(ordered, labels, block=block, counters=counters)
     leaf_masks = sweep.range_masks(0, sweep.n)
     out = np.empty_like(leaf_masks)
     out[labels.order] = leaf_masks
     return out
 
 
-def block_masks(
-    rows: np.ndarray,
-    start: int,
-    end: int,
-    table: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def block_masks(rows: np.ndarray, start: int, end: int) -> np.ndarray:
     """One-shot :meth:`PackedSweep.masks` (tests and small sweeps).
 
     Builds a fresh sweep per call; loops over many blocks of the same
     rows should construct one :class:`PackedSweep` instead.
     """
-    return PackedSweep(rows, block=max(end - start, 1), table=table).masks(
-        start, end
-    )
+    return PackedSweep(rows, block=max(end - start, 1)).masks(start, end)
 
 
 def packed_point_masks(
-    rows: np.ndarray,
-    block: Optional[int] = None,
-    table: Optional[np.ndarray] = None,
+    rows: np.ndarray, block: Optional[int] = None
 ) -> np.ndarray:
     """Packed ``B_{p∉S}`` of every row of ``rows`` (the ``S+`` subset).
 
@@ -909,5 +824,5 @@ def packed_point_masks(
     :meth:`repro.core.hashcube.HashCube.from_masks`.  ``block`` bounds
     peak memory (default :func:`default_block` rows per sweep).
     """
-    sweep = PackedSweep(rows, block=block, table=table)
+    sweep = PackedSweep(rows, block=block)
     return sweep.range_masks(0, sweep.n)

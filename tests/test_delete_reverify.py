@@ -112,9 +112,9 @@ def test_deletes_match_rebuild_and_report_exact_delta(kind, prefix, monkeypatch)
         assert sweeps, "the fallback sweep never ran"
 
 
-def test_wide_deletes_stream_key_budgeted_chunks(monkeypatch):
-    # At d = 16 a chunk is budgeted by its (pending row, survivor) keys,
-    # not by 1024-word fold rows; a small budget makes many chunks.
+def test_wide_deletes_stream_small_chunks(monkeypatch):
+    # At d = 16 a pair's fold row is 1024 words, so a budget of 4096
+    # words streams at most 4 pairs per chunk, or one survivor.
     d = 16
     monkeypatch.setattr(delta_module, "_CHUNK_BUDGET", 1 << 12)
     chunks = []
@@ -145,6 +145,4 @@ def test_wide_deletes_stream_key_budgeted_chunks(monkeypatch):
         assert maintainer_masks(maintainer) == after, pid
         expected = {q: m for q, m in after.items() if m != before[q]}
         assert movement.changed == expected, pid
-    assert chunks and max(size for size, _ in chunks) <= 1 << 12
-    # Several survivors per chunk, where a word budget allowed one.
-    assert any(size >= 8 * rows for size, rows in chunks)
+    assert chunks and all(size <= max(rows, 4) for size, rows in chunks)

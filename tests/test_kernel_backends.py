@@ -62,7 +62,7 @@ def test_backend_skycube_matches_oracle(workload):
 def test_preferred_block_positive():
     # The block the sweep takes when none is pinned.
     for d in (2, 5, 8, 14, 15, 16):
-        assert packed.default_block(d) >= 1
-    assert packed.default_block(8) == packed.DEFAULT_BLOCK
+        assert packed.default_block(d, 5000) >= 1
+    assert packed.default_block(8, 5000) == packed.DEFAULT_BLOCK
     # Above the dense table the block shrinks with the closure rows.
-    assert packed.default_block(16) == 4
+    assert packed.default_block(16, 5000) == 4

@@ -204,22 +204,26 @@ def test_delete_fallback_sweep_with_threads(forced, monkeypatch):
         assert packed.rows_to_ints(rows) == expected, victim
 
 
-@pytest.mark.parametrize("d", [9, 10, 11, 12])
+@pytest.mark.parametrize("d", [9, 10, 11, 12, 16])
 def test_base3_dedup_modes_match_fold(d, started, monkeypatch):
     # 64-row sub-blocks on two threads dedup in a 64 × 3**d presence
-    # table through d = 11 and sort at d = 12; with the table patched
-    # off every block sorts, and one CPU sweeps alone.
-    data = generate("anticorrelated", 80, d, seed=d)
+    # table through d = 11 and sort above; with the table patched off
+    # every block sorts, and one CPU sweeps alone.  At d = 16 one CPU
+    # sweeps a 128-row block in one sub-block of over 100 rows, whose
+    # keys take 64 bits.
+    data = generate("anticorrelated", 80 if d < 16 else 100, d, seed=d)
     data = np.vstack([data, data[:4]])  # exact duplicates
     data[5, 0] = data[6, 0]  # per-dimension tie
     rows = splus_rows(data)
     assert len(rows) > 64
     expected = fold_masks(rows)
     modes = []
+    widths = set()  # bytes per key
     real = packed.PackedSweep._distinct
 
     def spy(self, keys, b):
         modes.append((b, b * 3**d <= self._presence_limit))
+        widths.add(keys.itemsize)
         return real(self, keys, b)
 
     monkeypatch.setattr(packed.PackedSweep, "_distinct", spy)
@@ -230,6 +234,11 @@ def test_base3_dedup_modes_match_fold(d, started, monkeypatch):
     assert (64, d <= 11) in modes
     monkeypatch.setattr(packed, "_cpu_count", lambda: 1)
     assert np.array_equal(serial_masks(rows), masks)
+    if d == 16:
+        assert len(rows) > 100 and widths == {4}
+        sweep = packed.PackedSweep(rows, block=128)
+        assert np.array_equal(sweep.range_masks(0, len(rows)), masks)
+        assert 8 in widths
     monkeypatch.setattr(packed, "_PRESENCE_LIMIT", 0)
     del modes[:]
     monkeypatch.setattr(packed, "_cpu_count", lambda: 2)
@@ -239,14 +248,13 @@ def test_base3_dedup_modes_match_fold(d, started, monkeypatch):
 
 
 def test_default_block_sizes_itself_to_splus(forced):
-    assert packed.default_block(8) == packed.DEFAULT_BLOCK
     # Small S+ put up to 2**19 pairs in flight, while the block's 3**d
     # presence table stays within 4 MiB; large ones keep the floor.
     assert packed.default_block(8, 1449) == (1 << 19) // 1449
     assert packed.default_block(8, 100) == (1 << 22) // 3**8
     assert packed.default_block(8, 4400) == packed.DEFAULT_BLOCK
     assert packed.default_block(10, 50) == packed.DEFAULT_BLOCK
-    assert packed.default_block(16, 10) == packed.default_block(16) == 4
+    assert packed.default_block(16, 10) == packed.default_block(16, 4400) == 4
     rows = splus_rows(generate("correlated", 3000, 5, seed=2))
     sweep = packed.PackedSweep(rows)
     assert sweep.block > len(rows) > packed.DEFAULT_BLOCK
